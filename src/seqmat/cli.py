@@ -28,10 +28,14 @@ from .sequentialize import PREIMAGE_MAX_CANDIDATES, preimage_search, sequentiali
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise ParseError(f"{name} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _load_matrix(path: str) -> Matrix:
@@ -259,6 +263,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "trace", False) and getattr(args, "units", None) is not None:
         parser.error("--trace applies only to the plain GF(2) procedure, not --units")
+    if [getattr(args, name, None) for name in ("matrix", "vector", "other")].count("-") > 1:
+        parser.error("standard input ('-') can be read for at most one argument")
     try:
         return args.handler(args)
     except SeqmatError as exc:

@@ -4,12 +4,19 @@ regularize(M) rewrites a GF(2) matrix into a regular matrix (all ones on
 the diagonal) whose in-place interpretation agrees with M off the
 diagonal.  The procedure walks rows top to bottom: at row i it clears
 the diagonal entry, adds the cleared row into every later row that reads
-column i, then sets the diagonal entry to 1.
+column i, then sets the diagonal entry to 1.  regularize_packed runs it
+on bit-packed rows; it is the hot loop of the dynamics module.
 
 regularize_general extends this to any field and any prescribed diagonal
 of invertible entries, using the substitution update with pivot
-units[i].  regularize itself is the verbatim GF(2) procedure so its
-step-by-step trace is directly comparable against known worked runs.
+units[i].  It is the "units" policy of the elimination kernel in the
+sequentialize module, which keeps rows as one XOR-updated int for
+GF(2), as one int of unreduced slots updated by a single big-int
+multiply-add for GF(p) (slots of (n*p*p).bit_length() bits, rounded up
+to whole bytes, which n-1 updates of at most (p-1)**2 each cannot
+overflow), and as Fraction lists for Q.  regularize_trace restates the
+GF(2) procedure entrywise so its step-by-step snapshots are directly
+comparable against known worked runs.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from collections.abc import Sequence
 from .errors import PreconditionError
 from .fields import FieldSpec
 from .matrix import Matrix, Vector, pack_gf2_rows, require_gf2, unpack_gf2_rows
+from .sequentialize import eliminate
 
 
 def regularize_packed(rows: Sequence[int], n: int) -> tuple[int, ...]:
@@ -79,26 +87,5 @@ def regularize_general(M: Matrix, units: Vector) -> Matrix:
     if any(not u for u in units.entries):
         raise PreconditionError("every prescribed diagonal entry must be invertible (nonzero)")
 
-    add, sub, mul, neg = field.add, field.sub, field.mul, field.neg
-    work = [list(r) for r in M.rows]
-    out = []
-    for i in range(n):
-        u = units.entries[i]
-        row = list(work[i])
-        row[i] = u
-        out.append(tuple(row))
-        uinv = field.inv(u)
-        # base = e_i - row; adding c*uinv*base to a later row replaces its
-        # reference to the old x_i by the inverted assignment.
-        base = [neg(v) for v in row]
-        base[i] = sub(field.one, u)
-        for k in range(i + 1, n):
-            c = work[k][i]
-            if c:
-                f = mul(c, uinv)
-                wk = work[k]
-                for t in range(n):
-                    b = base[t]
-                    if b:
-                        wk[t] = add(wk[t], mul(f, b))
-    return Matrix(field, tuple(out))
+    rows, _ = eliminate(M, "units", units.entries)
+    return Matrix(field, rows)

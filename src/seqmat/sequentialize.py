@@ -15,7 +15,27 @@ Three routes:
   in-place interpretation equal to the ordinary interpretation of the
   target.
 
-Everything is checked against the program_symbolic oracle in the tests.
+Both compilers, and regularize_general in the regularize module, are one
+elimination kernel, eliminate, with different pivot policies.  It keeps
+the working rows in a backend chosen from the field's modulus:
+
+* GF(2): each row is one int, bit t holding entry t.  A row update is
+  one XOR with the pivot row minus its diagonal bit.
+* GF(p), p odd: each row is one int of n slots, entry t in slot t
+  (Kronecker substitution).  A row update ``row_k += c * base`` is one
+  big-int multiply-add over the whole row.  Slots are left unreduced and
+  are reduced mod p only where they are read: an emitted row, a fix-up
+  subtraction, a pivot, a coefficient c.  A slot holds a canonical
+  entry below p plus at most n-1 updates of c*b <= (p-1)**2 each before
+  its row is emitted, so it stays below n*p*p; with a slot width of
+  (n*p*p).bit_length() bits, rounded up to whole bytes, no slot carries
+  into the next.
+* Q: each row is a list of Fractions, and an update touches only the
+  nonzero entries of the pivot row.
+
+The kernel's output is bit-identical to the entrywise field-method
+elimination, which the tests keep as its reference.  Everything is
+checked against the program_symbolic oracle in the tests.
 """
 
 from __future__ import annotations
@@ -24,13 +44,13 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import GuardError, PreconditionError
-from .fields import FieldSpec
 from .matrix import (
     Assignment,
     Matrix,
     StraightLineProgram,
     Vector,
     _combine,
+    pack_gf2_rows,
     seq_program,
 )
 
@@ -92,26 +112,149 @@ class PermCoding:
         return cls(matrix, tuple(v - 1 for v in values))
 
 
-def _substitute_below(field: FieldSpec, work: list[list], i: int, n: int) -> None:
-    """Patch rows below i after the assignment of row i (invertible pivot).
+# -- the elimination kernel ---------------------------------------------------
 
-    Row k's reference to the old x_i becomes pivot^-1 * (x_i - row_i),
-    i.e. work[k] += work[k][i] * pivot^-1 * (e_i - work[i]).
+
+class _GF2Rows:
+    """Row k is one int, bit t holding entry (k, t); an update is one XOR."""
+
+    def __init__(self, M: Matrix) -> None:
+        self.n = M.n
+        self.rows = list(pack_gf2_rows(M))
+
+    def read(self, i: int) -> list:
+        r = self.rows[i]
+        return [(r >> t) & 1 for t in range(self.n)]
+
+    def coeff(self, k: int, i: int) -> int:
+        return (self.rows[k] >> i) & 1
+
+    def substitute(self, i: int, row: list) -> None:
+        # The pivot is 1, so base = -row + e_i is row with bit i cleared.
+        bit = 1 << i
+        base = sum(1 << t for t, v in enumerate(row) if v) & ~bit
+        rows = self.rows
+        for k in range(i + 1, self.n):
+            if rows[k] & bit:
+                rows[k] ^= base
+
+
+class _GFpRows:
+    """Row k is one int of n slots, `size` bytes each, slot t holding entry
+    (k, t) as an unreduced nonnegative sum; an update is one big-int
+    multiply-add.  Slots are reduced mod p only where they are read."""
+
+    def __init__(self, M: Matrix) -> None:
+        n, p = M.n, M.field.modulus
+        self.n, self.p = n, p
+        # A row is read at the latest after n-1 updates, each adding
+        # c*b <= (p-1)**2 to every slot on top of an entry < p; that sum
+        # stays below n*p*p, so no slot carries into the next.
+        self.size = -(-(n * p * p).bit_length() // 8)
+        self.mask = (1 << 8 * self.size) - 1
+        self.rows = [self._pack(r) for r in M.rows]
+
+    def _pack(self, entries) -> int:
+        size = self.size
+        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in entries), "little")
+
+    def read(self, i: int) -> list:
+        size, p = self.size, self.p
+        raw = self.rows[i].to_bytes(self.n * size, "little")
+        return [int.from_bytes(raw[o:o + size], "little") % p for o in range(0, len(raw), size)]
+
+    def coeff(self, k: int, i: int) -> int:
+        return ((self.rows[k] >> (8 * self.size * i)) & self.mask) % self.p
+
+    def substitute(self, i: int, row: list) -> None:
+        p = self.p
+        pivot = row[i]
+        pivot_inv = pow(pivot, -1, p)
+        base = [-v % p for v in row]
+        base[i] = (1 - pivot) % p
+        packed = self._pack(base)
+        shift, mask, rows = 8 * self.size * i, self.mask, self.rows
+        for k in range(i + 1, self.n):
+            c = ((rows[k] >> shift) & mask) % p
+            if c:
+                rows[k] += c * pivot_inv % p * packed
+
+
+class _RationalRows:
+    """Row k is a list of Fractions; an update touches only the nonzero
+    entries of the base row."""
+
+    def __init__(self, M: Matrix) -> None:
+        self.n = M.n
+        self.rows = [list(r) for r in M.rows]
+
+    def read(self, i: int) -> list:
+        return list(self.rows[i])
+
+    def coeff(self, k: int, i: int):
+        return self.rows[k][i]
+
+    def substitute(self, i: int, row: list) -> None:
+        pivot = row[i]
+        pivot_inv = 1 / pivot
+        base = [(t, -v) for t, v in enumerate(row) if v and t != i]
+        if pivot != 1:
+            base.append((i, 1 - pivot))
+        for k in range(i + 1, self.n):
+            wk = self.rows[k]
+            c = wk[i]
+            if c:
+                f = c * pivot_inv
+                for t, b in base:
+                    wk[t] += f * b
+
+
+def eliminate(M: Matrix, policy: str, units: tuple = ()) -> tuple[tuple[tuple, ...], tuple]:
+    """The elimination shared by both compilers and regularize_general.
+
+    Walks the rows top to bottom.  At row i it settles the pivot by the
+    policy, emits the row, and, when the pivot is nonzero, applies the
+    substitution update to every later row k reading column i:
+    ``row_k += row_k[i] * pivot^-1 * (e_i - row_i)``, which rewrites row
+    k's reference to the old x_i in terms of the values it can still
+    reach.  Policies for a zero pivot with a nonzero entry below it, in
+    the first such row j:
+
+    * "fixup": subtract row j from row i; moves[i] = j.
+    * "perm": swap rows i and j; moves is the resulting row permutation.
+    * "units": set the pivot of every row i to units[i] (never zero);
+      moves is all None.
+
+    Returns the emitted rows and moves.
     """
-    add, sub, mul, neg = field.add, field.sub, field.mul, field.neg
-    row_i = work[i]
-    pivot_inv = field.inv(row_i[i])
-    base = [neg(v) for v in row_i]
-    base[i] = sub(field.one, row_i[i])
-    for k in range(i + 1, n):
-        c = work[k][i]
-        if c:
-            f = mul(c, pivot_inv)
-            wk = work[k]
-            for t in range(n):
-                b = base[t]
-                if b:
-                    wk[t] = add(wk[t], mul(f, b))
+    field = M.field
+    n = M.n
+    if field.modulus == 2:
+        rows = _GF2Rows(M)
+    elif field.modulus is not None:
+        rows = _GFpRows(M)
+    else:
+        rows = _RationalRows(M)
+    moves = list(range(n)) if policy == "perm" else [None] * n
+    out = []
+    for i in range(n):
+        row = rows.read(i)
+        if policy == "units":
+            row[i] = units[i]
+        elif not row[i]:
+            j = next((k for k in range(i + 1, n) if rows.coeff(k, i)), None)
+            if j is not None and policy == "fixup":
+                moves[i] = j
+                row = [field.sub(a, b) for a, b in zip(row, rows.read(j))]
+            elif j is not None:
+                rows.rows[i], rows.rows[j] = rows.rows[j], rows.rows[i]
+                moves[i], moves[j] = moves[j], moves[i]
+                row = rows.read(i)
+        out.append(tuple(row))
+        if row[i]:
+            rows.substitute(i, row)
+        # else: nothing below reads column i, no updates are needed.
+    return tuple(out), tuple(moves)
 
 
 def sequentialize(M: Matrix) -> tuple[StraightLineProgram, InSituCoding]:
@@ -121,43 +264,9 @@ def sequentialize(M: Matrix) -> tuple[StraightLineProgram, InSituCoding]:
     in-place program of coding.matrix and the remaining ones are the
     fix-ups ``x_i := x_i + x_j`` for descending i.
     """
-    field = M.field
-    n = M.n
-    sub = field.sub
-    work = [list(r) for r in M.rows]
-    fixups: list[int | None] = [None] * n
-    steps: list[Assignment] = []
-    part1_rows: list[tuple] = []
-
-    for i in range(n):
-        if not work[i][i]:
-            j = next((k for k in range(i + 1, n) if work[k][i]), None)
-            if j is not None:
-                # Zero pivot but column i is still read below: make the
-                # pivot invertible by subtracting the smallest such row,
-                # and repair x_i once x_j holds its final value.
-                fixups[i] = j
-                wj = work[j]
-                work[i] = [sub(a, b) for a, b in zip(work[i], wj)]
-        row = tuple(work[i])
-        part1_rows.append(row)
-        steps.append(Assignment(i, Vector(field, row)))
-        if work[i][i]:
-            _substitute_below(field, work, i, n)
-        # else: nothing below reads column i, no updates needed.
-
-    one, zero = field.one, field.zero
-    for i in range(n - 2, -1, -1):
-        j = fixups[i]
-        if j is not None:
-            coeffs = [zero] * n
-            coeffs[i] = one
-            coeffs[j] = one
-            steps.append(Assignment(i, Vector(field, tuple(coeffs))))
-
-    program = StraightLineProgram(field, n, tuple(steps))
-    coding = InSituCoding(Matrix(field, tuple(part1_rows)), tuple(fixups))
-    return program, coding
+    rows, fixups = eliminate(M, "fixup")
+    coding = InSituCoding(Matrix(M.field, rows), fixups)
+    return decode_coding(coding), coding
 
 
 def decode_coding(coding: InSituCoding) -> StraightLineProgram:
@@ -180,27 +289,9 @@ def decode_coding(coding: InSituCoding) -> StraightLineProgram:
 def sequentialize_perm(M: Matrix) -> tuple[StraightLineProgram, PermCoding]:
     """Row-exchange variant: exactly n steps and a permutation s with
     program_symbolic(program) row i equal to row s(i) of M."""
-    field = M.field
-    n = M.n
-    work = [list(r) for r in M.rows]
-    perm = list(range(n))
-    steps: list[Assignment] = []
-    rows_out: list[tuple] = []
-
-    for i in range(n):
-        if not work[i][i]:
-            j = next((k for k in range(i + 1, n) if work[k][i]), None)
-            if j is not None:
-                work[i], work[j] = work[j], work[i]
-                perm[i], perm[j] = perm[j], perm[i]
-        row = tuple(work[i])
-        rows_out.append(row)
-        steps.append(Assignment(i, Vector(field, row)))
-        if work[i][i]:
-            _substitute_below(field, work, i, n)
-
-    program = StraightLineProgram(field, n, tuple(steps))
-    return program, PermCoding(Matrix(field, tuple(rows_out)), tuple(perm))
+    rows, perm = eliminate(M, "perm")
+    coding = PermCoding(Matrix(M.field, rows), perm)
+    return seq_program(coding.matrix), coding
 
 
 #: Default enumeration budget: all GF(2) matrices up to 4 x 4.
@@ -221,7 +312,12 @@ def preimage_search(M: Matrix, *, max_candidates: int = PREIMAGE_MAX_CANDIDATES)
     if not field.is_finite:
         raise PreconditionError("preimage search needs a finite field")
     n = M.n
-    if field.order ** (n * n) > max_candidates:
+    # order**(n*n) >= 2**(n*n*(bits-1)), so the bit-length test refuses
+    # huge spaces without computing their size.
+    if (
+        n * n * (field.order.bit_length() - 1) >= max_candidates.bit_length()
+        or field.order ** (n * n) > max_candidates
+    ):
         raise GuardError(
             f"preimage space {field.order}**{n * n} exceeds "
             f"max_candidates={max_candidates}; raise the limit to force"

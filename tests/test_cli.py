@@ -215,6 +215,32 @@ def test_domain_errors_exit_one(capsys, tmp_path):
     assert code == 1 and "regular" in err
 
 
+def test_non_utf8_input_exits_one(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"gf2\nn 2\n1 \xff\n0 1\n")
+    code, out, err = run(capsys, "smatrix", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_stdin_twice_is_a_usage_error(capsys, monkeypatch, m3):
+    import io
+
+    for argv in (["equiv", "-", "-"], ["apply", "--mode", "parallel", "-", "-"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(M3_TEXT))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: seqmat")
+        assert "at most one argument" in err.splitlines()[-1]
+    # one '-' next to a file path is still allowed
+    monkeypatch.setattr("sys.stdin", io.StringIO(M3_TEXT))
+    code, out, _ = run(capsys, "equiv", m3, "-")
+    assert code == 0 and out == "true\n"
+
+
 def test_usage_errors_exit_two(capsys, m3):
     with pytest.raises(SystemExit) as exc:
         main(["unknown-command"])

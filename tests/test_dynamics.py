@@ -17,7 +17,7 @@ from seqmat import (
     regularize,
     trajectory,
 )
-from seqmat.errors import GuardError, PreconditionError
+from seqmat.errors import GuardError, InvariantViolation, PreconditionError
 
 
 def test_phi_identity():
@@ -72,6 +72,30 @@ def test_orbit_detects_max_iter():
     seed = load_orbit_seed()
     with pytest.raises(GuardError):
         orbit(seed, 100)
+
+
+def _constant_map(image):
+    """A non-injective stand-in for regularize_packed: every input goes to image."""
+    return lambda rows, n: image
+
+
+def test_orbit_verification_catches_non_injective_map(monkeypatch):
+    start = Matrix.of(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    # start -> I -> I -> ...: a rho-shaped orbit that never returns to start
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map((1, 2, 4)))
+    with pytest.raises(InvariantViolation):
+        orbit(start, 50, verify_pure_cycle=True)
+    # production mode only compares against the start, so it runs out of steps
+    with pytest.raises(GuardError):
+        orbit(start, 50)
+
+
+def test_census_catches_non_injective_map(monkeypatch):
+    # index 0 is the identity and maps to itself; index 1 then lands on
+    # the already-visited identity, which is not its own start
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map((1, 2, 4)))
+    with pytest.raises(InvariantViolation):
+        census(3)
 
 
 def test_orbit_preconditions():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -197,6 +198,14 @@ def test_preimage_guards():
     assert preimage_search(
         Matrix.identity(5, GF2), max_candidates=1 << 25
     ) == Matrix.identity(5, GF2)
+    # a space of (2**63-25)**160000, about 10**7 bits, is refused without
+    # being computed; the guard only reads n and the field
+    n = 400
+    huge = Matrix(gfp(2**63 - 25), ((0,) * n,) * n)
+    started = time.perf_counter()
+    with pytest.raises(GuardError):
+        preimage_search(huge, max_candidates=1 << 62)
+    assert time.perf_counter() - started < 0.5
 
 
 # -- row-exchange method ----------------------------------------------------------------
