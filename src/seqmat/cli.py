@@ -1,8 +1,9 @@
 """Command-line surface: deterministic text in, deterministic text out.
 
-Exit status 0 on success, 1 on domain errors (one-line diagnostic on
-stderr), 2 on usage errors.  Matrix/vector arguments are file paths;
-"-" reads standard input (at most one argument per invocation).
+Exit status 0 on success, 1 on domain errors, running out of memory or
+an interrupt (one-line diagnostic on stderr), 2 on usage errors.
+Matrix/vector arguments are file paths; "-" reads standard input (at
+most one argument per invocation).
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ from .sequentialize import PREIMAGE_MAX_CANDIDATES, preimage_search, sequentiali
 def _read(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            if sys.stdin is None:  # file descriptor 0 was closed
+                raise ParseError("standard input is closed")
+            # Decoded here, strictly, because the text layer of stdin
+            # follows the locale and may smuggle bad bytes in as surrogates.
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
@@ -267,11 +272,14 @@ def main(argv=None) -> int:
         parser.error("standard input ('-') can be read for at most one argument")
     try:
         return args.handler(args)
-    except SeqmatError as exc:
+    except (SeqmatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

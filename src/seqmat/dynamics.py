@@ -38,7 +38,6 @@ class OrbitReport:
 
     start: Matrix
     cycle_length: int
-    visited_cap: int
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def orbit(
         cur = regularize_packed(cur, n)
         length += 1
         if cur == start:
-            return OrbitReport(M0, length, max_iter)
+            return OrbitReport(M0, length)
         if seen is not None:
             if cur in seen:
                 raise InvariantViolation(

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     FieldMismatchError,
+    GuardError,
     NotInvertibleError,
     ParseError,
     PreconditionError,
@@ -173,16 +175,27 @@ class FieldSpec:
         if self.modulus is not None:
             if not _INT_RE.fullmatch(text):
                 raise ParseError(f"bad {self.describe()} scalar: {text!r}")
-            return int(text) % self.modulus
+            try:
+                return int(text) % self.modulus
+            except ValueError as exc:  # more digits than int() accepts
+                raise ParseError(f"bad {self.describe()} scalar: {exc}") from None
         if not _FRACTION_RE.fullmatch(text):
             raise ParseError(f"bad rational scalar: {text!r}")
         try:
             return Fraction(text)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator: {text!r}") from None
+        except ValueError as exc:  # more digits than int() accepts
+            raise ParseError(f"bad rational scalar: {exc}") from None
 
     def format_scalar(self, v) -> str:
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:
+            raise GuardError(
+                "a result coefficient has more than "
+                f"{sys.get_int_max_str_digits()} digits, Python's int-to-text limit"
+            ) from None
 
 
 GF2 = FieldSpec(FieldKind.GF2, 2)
@@ -207,7 +220,11 @@ def field_parse(text: str) -> FieldSpec:
         if not tokens[1].isdigit():
             raise ParseError(f"bad gfp modulus: {tokens[1]!r}")
         try:
-            return gfp(int(tokens[1]))
+            p = int(tokens[1])
+        except ValueError as exc:  # a non-decimal digit, or too many digits
+            raise ParseError(f"bad gfp modulus: {exc}") from None
+        try:
+            return gfp(p)
         except PreconditionError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"unknown field descriptor: {text.strip()!r}")

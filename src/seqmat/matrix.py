@@ -9,12 +9,16 @@ computed by program_symbolic / seq_matrix.
 
 Entries are stored as raw canonical field values (ints / Fractions);
 indices are 0-based in code, 1-based in all text formats.  GF(2) rows
-can be bit-packed into plain ints for word-level XOR arithmetic.
+can be bit-packed into plain ints for word-level XOR arithmetic, and
+rational rows can be held as int numerators over one denominator for
+arithmetic without a Fraction per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, PreconditionError
 from .fields import GF2, FieldSpec, Scalar
@@ -151,6 +155,38 @@ def _combine(field: FieldSpec, coeffs, rows, n: int) -> tuple:
     return tuple(acc)
 
 
+# -- rational rows: int numerators over one positive denominator ----------------
+#
+# A row of Fractions v_t is held as (N, d) with v_t = N[t] / d, d > 0, and
+# kept reduced, gcd(d, *N) == 1.  The reduced pair is unique (d is the lcm
+# of the entries' denominators), so equal rows have equal pairs and the
+# integers stay as small as the row allows.
+
+
+def _q_pack(entries) -> tuple[list[int], int]:
+    """Fractions as a reduced (N, d): d is the lcm of their denominators.
+
+    The pair is already reduced: for each prime q dividing d, some entry's
+    denominator holds the whole power of q in d, and q divides neither
+    that entry's numerator nor d over its denominator, so not its N[t].
+    """
+    d = lcm(*(v.denominator for v in entries))
+    return [v.numerator * (d // v.denominator) for v in entries], d
+
+
+def _q_reduce(N: list[int], d: int) -> tuple[list[int], int]:
+    """(N, d) divided by gcd(d, *N); d must be positive."""
+    g = gcd(d, *N)
+    if g == 1:
+        return N, d
+    return [v // g for v in N], d // g
+
+
+def _q_unpack(N: list[int], d: int) -> tuple:
+    """The canonical Fractions N[t] / d."""
+    return tuple(Fraction(v, d) for v in N)
+
+
 # -- the two interpretations --------------------------------------------
 
 
@@ -189,17 +225,44 @@ def program_symbolic(P: StraightLineProgram) -> Matrix:
     Tracks coefficients: C starts as the identity and each step
     (target t, coeffs R) replaces row C_t by the product R . C.  This is
     the single correctness oracle the compilation modules are checked
-    against.
+    against.  Rows of C are bit-packed ints over GF(2), where a step is
+    one XOR per nonzero coefficient, and reduced int numerators over one
+    denominator over Q, where a step is one pass over the numerators per
+    nonzero coefficient and one gcd reduction; over GF(p) a step is the
+    entrywise _combine.
     """
     field = P.field
     n = P.n
     if field.modulus == 2:
         return _program_symbolic_gf2(P)
+    if field.modulus is None:
+        return _program_symbolic_q(P)
     ident = Matrix.identity(n, field)
     rows = list(ident.rows)
     for step in P.steps:
         rows[step.target] = _combine(field, step.coeffs.entries, rows, n)
     return Matrix(field, tuple(rows))
+
+
+def _program_symbolic_q(P: StraightLineProgram) -> Matrix:
+    # Rows of C as reduced (N, d) pairs.  The sum R . C is kept over one
+    # running denominator D: a term c*N_t/d_t has denominator
+    # q = den(c)*d_t, so D grows to lcm(D, q) and the sum so far is
+    # multiplied by lcm(D, q)/D.  The row is reduced once, after the last
+    # term.
+    n = P.n
+    rows = [([int(t == u) for u in range(n)], 1) for t in range(n)]
+    for step in P.steps:
+        acc, D = [0] * n, 1
+        for c, (N, d) in zip(step.coeffs.entries, rows):
+            if c:
+                q = c.denominator * d
+                g = gcd(D, q)
+                scale, m = q // g, c.numerator * (D // g)
+                acc = [scale * x + m * y for x, y in zip(acc, N)]
+                D *= scale
+        rows[step.target] = _q_reduce(acc, D)
+    return Matrix(P.field, tuple(_q_unpack(N, d) for N, d in rows))
 
 
 def _program_symbolic_gf2(P: StraightLineProgram) -> Matrix:

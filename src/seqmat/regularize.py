@@ -14,7 +14,9 @@ sequentialize module, which keeps rows as one XOR-updated int for
 GF(2), as one int of unreduced slots updated by a single big-int
 multiply-add for GF(p) (slots of (n*p*p).bit_length() bits, rounded up
 to whole bytes, which n-1 updates of at most (p-1)**2 each cannot
-overflow), and as Fraction lists for Q.  regularize_trace restates the
+overflow), and for Q as int numerators over one denominator, reduced by
+their gcd after every update (so the rows read back as the canonical
+Fractions of the entrywise update).  regularize_trace restates the
 GF(2) procedure entrywise so its step-by-step snapshots are directly
 comparable against known worked runs.
 """

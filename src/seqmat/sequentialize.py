@@ -30,8 +30,16 @@ the working rows in a backend chosen from the field's modulus:
   its row is emitted, so it stays below n*p*p; with a slot width of
   (n*p*p).bit_length() bits, rounded up to whole bytes, no slot carries
   into the next.
-* Q: each row is a list of Fractions, and an update touches only the
-  nonzero entries of the pivot row.
+* Q: each row is a list N of int numerators over one positive int
+  denominator d, kept reduced (gcd(d, *N) == 1).  For the emitted row
+  Nr/dr with pivot numerator a = Nr[i], and B = -Nr except
+  B[i] = dr - a, the update of row k is
+  ``N_k <- |a|*N_k + sign(a)*N_k[i]*B``, ``d_k <- |a|*d_k``, followed
+  by one division by gcd(d_k, *N_k).  Reducing after every update keeps
+  d_k at the lcm of the row's denominators instead of letting it collect
+  one factor |a| per pivot above it; and since the reduced pair is
+  unique, read gives the same canonical Fractions as entrywise
+  arithmetic.
 
 The kernel's output is bit-identical to the entrywise field-method
 elimination, which the tests keep as its reference.  Everything is
@@ -50,6 +58,9 @@ from .matrix import (
     StraightLineProgram,
     Vector,
     _combine,
+    _q_pack,
+    _q_reduce,
+    _q_unpack,
     pack_gf2_rows,
     seq_program,
 )
@@ -181,32 +192,37 @@ class _GFpRows:
 
 
 class _RationalRows:
-    """Row k is a list of Fractions; an update touches only the nonzero
-    entries of the base row."""
+    """Row k is a reduced pair (N, d) of int numerators over one positive
+    denominator (see matrix._q_pack); an update is one pass over N and
+    one gcd reduction."""
 
     def __init__(self, M: Matrix) -> None:
         self.n = M.n
-        self.rows = [list(r) for r in M.rows]
+        self.rows = [_q_pack(r) for r in M.rows]
 
     def read(self, i: int) -> list:
-        return list(self.rows[i])
+        return list(_q_unpack(*self.rows[i]))
 
-    def coeff(self, k: int, i: int):
-        return self.rows[k][i]
+    def coeff(self, k: int, i: int) -> int:
+        # A numerator is zero exactly when its entry is.
+        return self.rows[k][0][i]
 
     def substitute(self, i: int, row: list) -> None:
-        pivot = row[i]
-        pivot_inv = 1 / pivot
-        base = [(t, -v) for t, v in enumerate(row) if v and t != i]
-        if pivot != 1:
-            base.append((i, 1 - pivot))
+        # With row = Nr/dr, pivot a/dr (a = Nr[i]) and row_k = N/d, the
+        # update row_k += (N[i]/d) * (dr/a) * (e_i - row) is
+        # (a*N + N[i]*B) / (a*d) for B = dr*e_i - Nr; multiplying through
+        # by sign(a) keeps the denominator positive.
+        Nr, dr = _q_pack(row)
+        a = Nr[i]
+        sign = 1 if a > 0 else -1
+        base = [-sign * v for v in Nr]
+        base[i] = sign * (dr - a)
+        scale, rows = abs(a), self.rows
         for k in range(i + 1, self.n):
-            wk = self.rows[k]
-            c = wk[i]
+            N, d = rows[k]
+            c = N[i]
             if c:
-                f = c * pivot_inv
-                for t, b in base:
-                    wk[t] += f * b
+                rows[k] = _q_reduce([scale * x + c * b for x, b in zip(N, base)], scale * d)
 
 
 def eliminate(M: Matrix, policy: str, units: tuple = ()) -> tuple[tuple[tuple, ...], tuple]:

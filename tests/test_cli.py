@@ -1,7 +1,14 @@
 """Command-line behavior: outputs, exit codes, determinism, round trips."""
 
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import seqmat
 from seqmat import Matrix, format_matrix, parse_coding, parse_matrix
 from seqmat.cli import main
 from seqmat.fields import GF2, RATIONAL
@@ -22,6 +29,11 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def stdin_stream(text):
+    """A text stream with the binary .buffer that the CLI reads stdin through."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()))
 
 
 def run(capsys, *argv):
@@ -177,9 +189,7 @@ def test_graph_subcommands(capsys, tmp_path):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
-
-    monkeypatch.setattr("sys.stdin", io.StringIO(M3_TEXT))
+    monkeypatch.setattr("sys.stdin", stdin_stream(M3_TEXT))
     code, out, _ = run(capsys, "smatrix", "-")
     assert code == 0
     assert out.splitlines()[-1] == "0 55 97"
@@ -224,11 +234,65 @@ def test_non_utf8_input_exits_one(capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
-def test_stdin_twice_is_a_usage_error(capsys, monkeypatch, m3):
-    import io
+def test_non_utf8_stdin_exits_one():
+    # Under the C locale Python's text layer would let the bad byte through
+    # as a surrogate; the CLI must refuse it as it refuses a file.
+    src = str(Path(seqmat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-m", "seqmat.cli", "smatrix", "-"],
+        input=b"gf2\nn 2\n1 \xff\n0 1\n", capture_output=True, env=env, timeout=60,
+    )
+    assert done.returncode == 1 and done.stdout == b""
+    err = done.stderr.decode()
+    assert err.startswith("error: standard input is not UTF-8 text")
+    assert len(err.splitlines()) == 1
 
+
+def test_closed_stdin_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run(capsys, "smatrix", "-")
+    assert (code, out, err) == (1, "", "error: standard input is closed\n")
+
+
+def test_digit_limit_exits_one(capsys, tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int/str digit limit")
+    huge = "7" * (limit + 1)
+    inputs = {
+        "rational scalar": f"rational\nn 1\n{huge}/3\n",
+        "gfp scalar": f"gfp 7\nn 1\n{huge}\n",
+        "gfp modulus": f"gfp {huge}\nn 1\n1\n",
+    }
+    for name, text in inputs.items():
+        code, out, err = run(capsys, "smatrix", write(tmp_path, "in.txt", text))
+        assert (code, out) == (1, ""), name
+        assert err.startswith("error: bad") and len(err.splitlines()) == 1, name
+    # A short input whose in-place matrix has an entry of about twice as
+    # many digits: A**2 for the A of limit - 300 digits below.
+    a = "9" * (limit - 300)
+    src = write(tmp_path, "a.txt", f"rational\nn 2\n{a} 0\n{a} {a}\n")
+    code, out, err = run(capsys, "smatrix", src)
+    assert (code, out) == (1, "")
+    assert err == f"error: a result coefficient has more than {limit} digits, Python's int-to-text limit\n"
+
+
+@pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
+def test_memory_error_and_interrupt_exit_one(capsys, monkeypatch, exc):
+    def fail(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr("seqmat.cli.census", fail)
+    code, out, err = run(capsys, "census", "--n", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_stdin_twice_is_a_usage_error(capsys, monkeypatch, m3):
     for argv in (["equiv", "-", "-"], ["apply", "--mode", "parallel", "-", "-"]):
-        monkeypatch.setattr("sys.stdin", io.StringIO(M3_TEXT))
+        monkeypatch.setattr("sys.stdin", stdin_stream(M3_TEXT))
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -236,7 +300,7 @@ def test_stdin_twice_is_a_usage_error(capsys, monkeypatch, m3):
         assert err.startswith("usage: seqmat")
         assert "at most one argument" in err.splitlines()[-1]
     # one '-' next to a file path is still allowed
-    monkeypatch.setattr("sys.stdin", io.StringIO(M3_TEXT))
+    monkeypatch.setattr("sys.stdin", stdin_stream(M3_TEXT))
     code, out, _ = run(capsys, "equiv", m3, "-")
     assert code == 0 and out == "true\n"
 

@@ -1,8 +1,11 @@
 """Matrix core: both interpretations, the coefficient oracle, predicates."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIELDS, GF7, random_matrix, random_vector
 from seqmat import (
@@ -187,6 +190,53 @@ def test_gf2_symbolic_matches_independent_reference():
             )
         P = StraightLineProgram(GF2, n, tuple(steps))
         assert program_symbolic(P) == reference(P)
+
+
+def _reference_symbolic_q(P):
+    # The entrywise Fraction loop: C starts as the identity and each step
+    # replaces row C_target by sum_t coeffs[t] * C_t, one Fraction per entry.
+    n = P.n
+    rows = [[Fraction(int(t == u)) for u in range(n)] for t in range(n)]
+    for s in P.steps:
+        acc = [Fraction(0)] * n
+        for c, row in zip(s.coeffs.entries, rows):
+            if c:
+                for u, v in enumerate(row):
+                    if v:
+                        acc[u] += c * v
+        rows[s.target] = acc
+    return Matrix.of(RATIONAL, rows)
+
+
+def _random_rational_row(rng, n, density, bound):
+    return [
+        Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) if rng.random() < density else 0
+        for _ in range(n)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    density=st.sampled_from((0.0, 0.1, 0.4, 1.0)),
+    bound=st.sampled_from((9, 10**30)),
+    kind=st.sampled_from(("seq_program", "random")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rational_symbolic_matches_fraction_reference(n, density, bound, kind, seed):
+    rng = random.Random(seed)
+    if kind == "seq_program":
+        M = Matrix.of(RATIONAL, [_random_rational_row(rng, n, density, bound) for _ in range(n)])
+        P = seq_program(M)
+    else:
+        # Random targets, and some steps whose coefficient row is all zero.
+        steps = tuple(
+            step(RATIONAL, rng.randrange(n),
+                 _random_rational_row(rng, n, density if rng.random() < 0.8 else 0.0, bound))
+            for _ in range(rng.randint(0, 2 * n))
+        )
+        P = StraightLineProgram(RATIONAL, n, steps)
+    assert program_symbolic(P).rows == _reference_symbolic_q(P).rows
 
 
 def test_oracle_identity_random():
