@@ -24,7 +24,7 @@ from .formats import (
 )
 from .graphs import Digraph, chain_rewrite, constructs, linorder_rewrite, to_dot
 from .matrix import Matrix, Vector, parallel_apply, seq_apply, seq_equivalent, seq_matrix, seq_program
-from .regularize import regularize, regularize_general, regularize_trace
+from .regularize import regularize_general, regularize_trace
 from .sequentialize import PREIMAGE_MAX_CANDIDATES, preimage_search, sequentialize, sequentialize_perm
 
 
@@ -99,18 +99,12 @@ def _cmd_preimage(args) -> int:
 
 def _cmd_regularize(args) -> int:
     M = _load_matrix(args.matrix)
-    if args.units is not None:
-        units = _parse_units(args.units, M.field, M.n)
-        _emit(format_matrix(regularize_general(M, units)))
-    elif M.field.modulus == 2:
-        if args.trace:
-            blocks = [format_matrix(step) for step in regularize_trace(M)]
-            _emit("\n".join(blocks))
-        else:
-            _emit(format_matrix(regularize(M)))
-    else:
-        ones = Vector(M.field, (M.field.one,) * M.n)
-        _emit(format_matrix(regularize_general(M, ones)))
+    if args.trace:
+        _emit("\n".join(format_matrix(step) for step in regularize_trace(M)))
+        return 0
+    ones = Vector(M.field, (M.field.one,) * M.n)
+    units = ones if args.units is None else _parse_units(args.units, M.field, M.n)
+    _emit(format_matrix(regularize_general(M, units)))
     return 0
 
 

@@ -28,14 +28,24 @@ def _content_lines(text: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
+def _parse_int(token: str, what: str) -> int:
+    """A decimal integer with an optional minus sign, else ParseError."""
+    if not token.removeprefix("-").isdecimal():
+        raise ParseError(f"bad {what}: {token!r}")
+    try:
+        return int(token)
+    except ValueError as exc:  # more digits than int() accepts
+        raise ParseError(f"bad {what}: {exc}") from None
+
+
 def _parse_header(lines: list[str]) -> tuple[FieldSpec, int]:
     if len(lines) < 2:
         raise ParseError("missing field/dimension header")
     field = field_parse(lines[0])
     parts = lines[1].split()
-    if len(parts) != 2 or parts[0] != "n" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "n":
         raise ParseError(f"bad dimension line: {lines[1]!r}")
-    n = int(parts[1])
+    n = _parse_int(parts[1], "dimension")
     if n < 1:
         raise ParseError("dimension must be at least 1")
     return field, n
@@ -120,9 +130,9 @@ def parse_coding(text: str) -> InSituCoding | PermCoding:
     values = rest.split()
     if kind not in ("fixups", "perm"):
         raise ParseError(f"expected a fixups/perm line, got {last!r}")
-    if len(values) != n or not all(v.lstrip("-").isdigit() for v in values):
+    if len(values) != n:
         raise ParseError(f"bad {kind} line: {last!r}")
-    nums = [int(v) for v in values]
+    nums = [_parse_int(v, f"{kind} entry") for v in values]
     if kind == "fixups":
         return InSituCoding.from_one_based(matrix, nums)
     return PermCoding.from_one_based(matrix, nums)

@@ -8,10 +8,36 @@ in-place interpretation of M is itself a linear map; its matrix is
 computed by program_symbolic / seq_matrix.
 
 Entries are stored as raw canonical field values (ints / Fractions);
-indices are 0-based in code, 1-based in all text formats.  GF(2) rows
-can be bit-packed into plain ints for word-level XOR arithmetic, and
-rational rows can be held as int numerators over one denominator for
-arithmetic without a Fraction per entry.
+indices are 0-based in code, 1-based in all text formats.
+
+Row arithmetic (program_symbolic, preimage_search and the elimination
+kernel of the sequentialize module) runs on packed rows, in the backend
+row_backend picks from the field's modulus.  Every backend reads a row
+back as canonical entries (read, matrix) and forms the canonical packed
+row sum_t c_t * row_t (combine):
+
+* GF(2): row k is one int, bit t holding entry (k, t).  A sum is one
+  XOR per nonzero coefficient; a substitution update is one XOR with the
+  pivot row minus its diagonal bit.
+* GF(p), p odd: row k is one int of n slots, entry (k, t) in slot t
+  (Kronecker substitution).  A term c * row is one big-int multiply-add
+  over the whole row.  A slot has (n*p*p).bit_length() bits, rounded up
+  to whole bytes, and never carries into the next as long as its value
+  stays below n*p*p.  combine sums at most n terms of c*v <= (p-1)**2
+  over rows of reduced slots (v < p) and reduces the sum slot by slot,
+  so its rows stay reduced.  The substitution update leaves slots
+  unreduced, each holding an entry below p plus at most n-1 updates of
+  at most (p-1)**2 before its row is emitted, and reduces mod p only
+  where a slot is read: an emitted row, a fix-up subtraction, a pivot, a
+  coefficient.  So combine needs reduced rows: rows no update has touched.
+* Q: row k is a list N of int numerators over one positive int
+  denominator d, kept reduced (gcd(d, *N) == 1).  The reduced pair is
+  unique, d being the lcm of the entries' denominators, so equal rows
+  have equal pairs and read gives the canonical Fractions of entrywise
+  arithmetic.  A sum is kept over one running denominator and reduced
+  once; a substitution update is one pass over N and one reduction,
+  which keeps d at the lcm of the row's denominators instead of letting
+  it collect one factor per pivot above the row.
 """
 
 from __future__ import annotations
@@ -141,52 +167,6 @@ def _dot(field: FieldSpec, xs, ys):
     return total % p if p is not None else total
 
 
-def _combine(field: FieldSpec, coeffs, rows, n: int) -> tuple:
-    """Row-vector times row-stack product: sum_t coeffs[t] * rows[t]."""
-    acc = [field.zero] * n
-    for c, row in zip(coeffs, rows):
-        if c:
-            for t, v in enumerate(row):
-                if v:
-                    acc[t] = acc[t] + c * v
-    p = field.modulus
-    if p is not None:
-        return tuple(v % p for v in acc)
-    return tuple(acc)
-
-
-# -- rational rows: int numerators over one positive denominator ----------------
-#
-# A row of Fractions v_t is held as (N, d) with v_t = N[t] / d, d > 0, and
-# kept reduced, gcd(d, *N) == 1.  The reduced pair is unique (d is the lcm
-# of the entries' denominators), so equal rows have equal pairs and the
-# integers stay as small as the row allows.
-
-
-def _q_pack(entries) -> tuple[list[int], int]:
-    """Fractions as a reduced (N, d): d is the lcm of their denominators.
-
-    The pair is already reduced: for each prime q dividing d, some entry's
-    denominator holds the whole power of q in d, and q divides neither
-    that entry's numerator nor d over its denominator, so not its N[t].
-    """
-    d = lcm(*(v.denominator for v in entries))
-    return [v.numerator * (d // v.denominator) for v in entries], d
-
-
-def _q_reduce(N: list[int], d: int) -> tuple[list[int], int]:
-    """(N, d) divided by gcd(d, *N); d must be positive."""
-    g = gcd(d, *N)
-    if g == 1:
-        return N, d
-    return [v // g for v in N], d // g
-
-
-def _q_unpack(N: list[int], d: int) -> tuple:
-    """The canonical Fractions N[t] / d."""
-    return tuple(Fraction(v, d) for v in N)
-
-
 # -- the two interpretations --------------------------------------------
 
 
@@ -223,60 +203,14 @@ def program_symbolic(P: StraightLineProgram) -> Matrix:
     """The matrix C with parallel_apply(C, X) = program_apply(P, X) for all X.
 
     Tracks coefficients: C starts as the identity and each step
-    (target t, coeffs R) replaces row C_t by the product R . C.  This is
-    the single correctness oracle the compilation modules are checked
-    against.  Rows of C are bit-packed ints over GF(2), where a step is
-    one XOR per nonzero coefficient, and reduced int numerators over one
-    denominator over Q, where a step is one pass over the numerators per
-    nonzero coefficient and one gcd reduction; over GF(p) a step is the
-    entrywise _combine.
+    (target t, coeffs R) replaces row C_t by the product R . C, one
+    combine of the field's packed rows.  This is the single correctness
+    oracle the compilation modules are checked against.
     """
-    field = P.field
-    n = P.n
-    if field.modulus == 2:
-        return _program_symbolic_gf2(P)
-    if field.modulus is None:
-        return _program_symbolic_q(P)
-    ident = Matrix.identity(n, field)
-    rows = list(ident.rows)
+    rows = row_backend(Matrix.identity(P.n, P.field))
     for step in P.steps:
-        rows[step.target] = _combine(field, step.coeffs.entries, rows, n)
-    return Matrix(field, tuple(rows))
-
-
-def _program_symbolic_q(P: StraightLineProgram) -> Matrix:
-    # Rows of C as reduced (N, d) pairs.  The sum R . C is kept over one
-    # running denominator D: a term c*N_t/d_t has denominator
-    # q = den(c)*d_t, so D grows to lcm(D, q) and the sum so far is
-    # multiplied by lcm(D, q)/D.  The row is reduced once, after the last
-    # term.
-    n = P.n
-    rows = [([int(t == u) for u in range(n)], 1) for t in range(n)]
-    for step in P.steps:
-        acc, D = [0] * n, 1
-        for c, (N, d) in zip(step.coeffs.entries, rows):
-            if c:
-                q = c.denominator * d
-                g = gcd(D, q)
-                scale, m = q // g, c.numerator * (D // g)
-                acc = [scale * x + m * y for x, y in zip(acc, N)]
-                D *= scale
-        rows[step.target] = _q_reduce(acc, D)
-    return Matrix(P.field, tuple(_q_unpack(N, d) for N, d in rows))
-
-
-def _program_symbolic_gf2(P: StraightLineProgram) -> Matrix:
-    # Same computation on bit-packed rows; cross-checked against the
-    # generic path in the test suite.
-    n = P.n
-    packed = [1 << t for t in range(n)]
-    for step in P.steps:
-        acc = 0
-        for t, c in enumerate(step.coeffs.entries):
-            if c:
-                acc ^= packed[t]
-        packed[step.target] = acc
-    return unpack_gf2_rows(packed, n)
+        rows.rows[step.target] = rows.combine(step.coeffs.entries)
+    return rows.matrix()
 
 
 def seq_matrix(M: Matrix) -> Matrix:
@@ -326,15 +260,172 @@ def seq_equivalent(M: Matrix, W: Matrix) -> bool:
 def pack_gf2_rows(M: Matrix) -> tuple[int, ...]:
     """Rows as ints, bit j of row i = entry (i, j)."""
     require_gf2(M, "bit packing")
-    out = []
-    for row in M.rows:
-        bits = 0
-        for j, v in enumerate(row):
-            if v:
-                bits |= 1 << j
-        out.append(bits)
-    return tuple(out)
+    return tuple(_GF2Rows(M).rows)
 
 
 def unpack_gf2_rows(packed, n: int) -> Matrix:
     return Matrix(GF2, tuple(tuple((r >> j) & 1 for j in range(n)) for r in packed))
+
+
+# -- packed row backends (see the module docstring) ---------------------------------
+
+
+class _PackedRows:
+    """The rows of one matrix, packed in the form of its field.
+
+    rows[k] is row k packed; read(i) is row i as a list of canonical
+    entries; coeff(k, i) is nonzero iff entry (k, i) is; combine(coeffs)
+    is the packed canonical row sum_t coeffs[t] * rows[t];
+    substitute(i, row) is the elimination kernel's update of every row
+    below row i (see sequentialize.eliminate).
+    """
+
+    def __init__(self, M: Matrix) -> None:
+        self.field, self.n = M.field, M.n
+        self.rows = [self._pack(r) for r in M.rows]
+
+    def matrix(self) -> Matrix:
+        """The rows read back as a Matrix."""
+        return Matrix(self.field, tuple(tuple(self.read(k)) for k in range(self.n)))
+
+
+class _GF2Rows(_PackedRows):
+    @staticmethod
+    def _pack(entries) -> int:
+        return sum(1 << t for t, v in enumerate(entries) if v)
+
+    def read(self, i: int) -> list:
+        r = self.rows[i]
+        return [(r >> t) & 1 for t in range(self.n)]
+
+    def coeff(self, k: int, i: int) -> int:
+        return (self.rows[k] >> i) & 1
+
+    def combine(self, coeffs) -> int:
+        acc = 0
+        for c, r in zip(coeffs, self.rows):
+            if c:
+                acc ^= r
+        return acc
+
+    def substitute(self, i: int, row: list) -> None:
+        # The pivot is 1, so base = -row + e_i is row with bit i cleared.
+        bit = 1 << i
+        base = self._pack(row) & ~bit
+        rows = self.rows
+        for k in range(i + 1, self.n):
+            if rows[k] & bit:
+                rows[k] ^= base
+
+
+class _GFpRows(_PackedRows):
+    def __init__(self, M: Matrix) -> None:
+        p = self.p = M.field.modulus
+        self.size = -(-(M.n * p * p).bit_length() // 8)
+        self.mask = (1 << 8 * self.size) - 1
+        super().__init__(M)
+
+    def _pack(self, entries) -> int:
+        size = self.size
+        return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in entries]), "little")
+
+    def _reduce(self, packed: int) -> list:
+        size, p, from_bytes = self.size, self.p, int.from_bytes
+        raw = packed.to_bytes(self.n * size, "little")
+        return [from_bytes(raw[o:o + size], "little") % p for o in range(0, len(raw), size)]
+
+    def read(self, i: int) -> list:
+        return self._reduce(self.rows[i])
+
+    def coeff(self, k: int, i: int) -> int:
+        return ((self.rows[k] >> (8 * self.size * i)) & self.mask) % self.p
+
+    def combine(self, coeffs) -> int:
+        # The rows must be reduced (see the module docstring).
+        acc = 0
+        for c, r in zip(coeffs, self.rows):
+            if c:
+                acc += c * r
+        return self._pack(self._reduce(acc))
+
+    def substitute(self, i: int, row: list) -> None:
+        p = self.p
+        pivot = row[i]
+        pivot_inv = pow(pivot, -1, p)
+        base = [-v % p for v in row]
+        base[i] = (1 - pivot) % p
+        packed = self._pack(base)
+        shift, mask, rows = 8 * self.size * i, self.mask, self.rows
+        for k in range(i + 1, self.n):
+            c = ((rows[k] >> shift) & mask) % p
+            if c:
+                rows[k] += c * pivot_inv % p * packed
+
+
+class _RationalRows(_PackedRows):
+    @staticmethod
+    def _pack(entries) -> tuple[list[int], int]:
+        """Fractions as a reduced (N, d): d is the lcm of their denominators.
+
+        The pair is already reduced: for each prime q dividing d, some entry's
+        denominator holds the whole power of q in d, and q divides neither
+        that entry's numerator nor d over its denominator, so not its N[t].
+        """
+        d = lcm(*(v.denominator for v in entries))
+        return [v.numerator * (d // v.denominator) for v in entries], d
+
+    @staticmethod
+    def _reduce(N: list[int], d: int) -> tuple[list[int], int]:
+        """(N, d) divided by gcd(d, *N); d must be positive."""
+        g = gcd(d, *N)
+        if g == 1:
+            return N, d
+        return [v // g for v in N], d // g
+
+    def read(self, i: int) -> list:
+        N, d = self.rows[i]
+        return [Fraction(v, d) for v in N]
+
+    def coeff(self, k: int, i: int) -> int:
+        # A numerator is zero exactly when its entry is.
+        return self.rows[k][0][i]
+
+    def combine(self, coeffs) -> tuple[list[int], int]:
+        # The sum is kept over one running denominator D: a term c*N_t/d_t
+        # has denominator q = den(c)*d_t, so D grows to lcm(D, q) and the
+        # sum so far is multiplied by lcm(D, q)/D.  The sum is reduced
+        # once, after the last term.
+        acc, D = [0] * self.n, 1
+        for c, (N, d) in zip(coeffs, self.rows):
+            if c:
+                q = c.denominator * d
+                g = gcd(D, q)
+                scale, m = q // g, c.numerator * (D // g)
+                acc = [scale * x + m * y for x, y in zip(acc, N)]
+                D *= scale
+        return self._reduce(acc, D)
+
+    def substitute(self, i: int, row: list) -> None:
+        # With row = Nr/dr, pivot a/dr (a = Nr[i]) and row_k = N/d, the
+        # update row_k += (N[i]/d) * (dr/a) * (e_i - row) is
+        # (a*N + N[i]*B) / (a*d) for B = dr*e_i - Nr; multiplying through
+        # by sign(a) keeps the denominator positive.
+        Nr, dr = self._pack(row)
+        a = Nr[i]
+        sign = 1 if a > 0 else -1
+        base = [-sign * v for v in Nr]
+        base[i] = sign * (dr - a)
+        scale, rows = abs(a), self.rows
+        for k in range(i + 1, self.n):
+            N, d = rows[k]
+            c = N[i]
+            if c:
+                rows[k] = self._reduce([scale * x + c * b for x, b in zip(N, base)], scale * d)
+
+
+def row_backend(M: Matrix) -> _PackedRows:
+    """M's rows packed in the backend of its field (see the module docstring)."""
+    p = M.field.modulus
+    if p == 2:
+        return _GF2Rows(M)
+    return _RationalRows(M) if p is None else _GFpRows(M)

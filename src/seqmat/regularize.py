@@ -10,15 +10,10 @@ on bit-packed rows; it is the hot loop of the dynamics module.
 regularize_general extends this to any field and any prescribed diagonal
 of invertible entries, using the substitution update with pivot
 units[i].  It is the "units" policy of the elimination kernel in the
-sequentialize module, which keeps rows as one XOR-updated int for
-GF(2), as one int of unreduced slots updated by a single big-int
-multiply-add for GF(p) (slots of (n*p*p).bit_length() bits, rounded up
-to whole bytes, which n-1 updates of at most (p-1)**2 each cannot
-overflow), and for Q as int numerators over one denominator, reduced by
-their gcd after every update (so the rows read back as the canonical
-Fractions of the entrywise update).  regularize_trace restates the
-GF(2) procedure entrywise so its step-by-step snapshots are directly
-comparable against known worked runs.
+sequentialize module, on the packed rows of the matrix module.
+regularize_trace restates the GF(2) procedure entrywise so its
+step-by-step snapshots are directly comparable against known worked
+runs.
 """
 
 from __future__ import annotations

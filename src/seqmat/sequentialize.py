@@ -17,31 +17,8 @@ Three routes:
 
 Both compilers, and regularize_general in the regularize module, are one
 elimination kernel, eliminate, with different pivot policies.  It keeps
-the working rows in a backend chosen from the field's modulus:
-
-* GF(2): each row is one int, bit t holding entry t.  A row update is
-  one XOR with the pivot row minus its diagonal bit.
-* GF(p), p odd: each row is one int of n slots, entry t in slot t
-  (Kronecker substitution).  A row update ``row_k += c * base`` is one
-  big-int multiply-add over the whole row.  Slots are left unreduced and
-  are reduced mod p only where they are read: an emitted row, a fix-up
-  subtraction, a pivot, a coefficient c.  A slot holds a canonical
-  entry below p plus at most n-1 updates of c*b <= (p-1)**2 each before
-  its row is emitted, so it stays below n*p*p; with a slot width of
-  (n*p*p).bit_length() bits, rounded up to whole bytes, no slot carries
-  into the next.
-* Q: each row is a list N of int numerators over one positive int
-  denominator d, kept reduced (gcd(d, *N) == 1).  For the emitted row
-  Nr/dr with pivot numerator a = Nr[i], and B = -Nr except
-  B[i] = dr - a, the update of row k is
-  ``N_k <- |a|*N_k + sign(a)*N_k[i]*B``, ``d_k <- |a|*d_k``, followed
-  by one division by gcd(d_k, *N_k).  Reducing after every update keeps
-  d_k at the lcm of the row's denominators instead of letting it collect
-  one factor |a| per pivot above it; and since the reduced pair is
-  unique, read gives the same canonical Fractions as entrywise
-  arithmetic.
-
-The kernel's output is bit-identical to the entrywise field-method
+the working rows in the packed backend of their field (see the matrix
+module).  Its output is bit-identical to the entrywise field-method
 elimination, which the tests keep as its reference.  Everything is
 checked against the program_symbolic oracle in the tests.
 """
@@ -57,11 +34,7 @@ from .matrix import (
     Matrix,
     StraightLineProgram,
     Vector,
-    _combine,
-    _q_pack,
-    _q_reduce,
-    _q_unpack,
-    pack_gf2_rows,
+    row_backend,
     seq_program,
 )
 
@@ -126,105 +99,6 @@ class PermCoding:
 # -- the elimination kernel ---------------------------------------------------
 
 
-class _GF2Rows:
-    """Row k is one int, bit t holding entry (k, t); an update is one XOR."""
-
-    def __init__(self, M: Matrix) -> None:
-        self.n = M.n
-        self.rows = list(pack_gf2_rows(M))
-
-    def read(self, i: int) -> list:
-        r = self.rows[i]
-        return [(r >> t) & 1 for t in range(self.n)]
-
-    def coeff(self, k: int, i: int) -> int:
-        return (self.rows[k] >> i) & 1
-
-    def substitute(self, i: int, row: list) -> None:
-        # The pivot is 1, so base = -row + e_i is row with bit i cleared.
-        bit = 1 << i
-        base = sum(1 << t for t, v in enumerate(row) if v) & ~bit
-        rows = self.rows
-        for k in range(i + 1, self.n):
-            if rows[k] & bit:
-                rows[k] ^= base
-
-
-class _GFpRows:
-    """Row k is one int of n slots, `size` bytes each, slot t holding entry
-    (k, t) as an unreduced nonnegative sum; an update is one big-int
-    multiply-add.  Slots are reduced mod p only where they are read."""
-
-    def __init__(self, M: Matrix) -> None:
-        n, p = M.n, M.field.modulus
-        self.n, self.p = n, p
-        # A row is read at the latest after n-1 updates, each adding
-        # c*b <= (p-1)**2 to every slot on top of an entry < p; that sum
-        # stays below n*p*p, so no slot carries into the next.
-        self.size = -(-(n * p * p).bit_length() // 8)
-        self.mask = (1 << 8 * self.size) - 1
-        self.rows = [self._pack(r) for r in M.rows]
-
-    def _pack(self, entries) -> int:
-        size = self.size
-        return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in entries), "little")
-
-    def read(self, i: int) -> list:
-        size, p = self.size, self.p
-        raw = self.rows[i].to_bytes(self.n * size, "little")
-        return [int.from_bytes(raw[o:o + size], "little") % p for o in range(0, len(raw), size)]
-
-    def coeff(self, k: int, i: int) -> int:
-        return ((self.rows[k] >> (8 * self.size * i)) & self.mask) % self.p
-
-    def substitute(self, i: int, row: list) -> None:
-        p = self.p
-        pivot = row[i]
-        pivot_inv = pow(pivot, -1, p)
-        base = [-v % p for v in row]
-        base[i] = (1 - pivot) % p
-        packed = self._pack(base)
-        shift, mask, rows = 8 * self.size * i, self.mask, self.rows
-        for k in range(i + 1, self.n):
-            c = ((rows[k] >> shift) & mask) % p
-            if c:
-                rows[k] += c * pivot_inv % p * packed
-
-
-class _RationalRows:
-    """Row k is a reduced pair (N, d) of int numerators over one positive
-    denominator (see matrix._q_pack); an update is one pass over N and
-    one gcd reduction."""
-
-    def __init__(self, M: Matrix) -> None:
-        self.n = M.n
-        self.rows = [_q_pack(r) for r in M.rows]
-
-    def read(self, i: int) -> list:
-        return list(_q_unpack(*self.rows[i]))
-
-    def coeff(self, k: int, i: int) -> int:
-        # A numerator is zero exactly when its entry is.
-        return self.rows[k][0][i]
-
-    def substitute(self, i: int, row: list) -> None:
-        # With row = Nr/dr, pivot a/dr (a = Nr[i]) and row_k = N/d, the
-        # update row_k += (N[i]/d) * (dr/a) * (e_i - row) is
-        # (a*N + N[i]*B) / (a*d) for B = dr*e_i - Nr; multiplying through
-        # by sign(a) keeps the denominator positive.
-        Nr, dr = _q_pack(row)
-        a = Nr[i]
-        sign = 1 if a > 0 else -1
-        base = [-sign * v for v in Nr]
-        base[i] = sign * (dr - a)
-        scale, rows = abs(a), self.rows
-        for k in range(i + 1, self.n):
-            N, d = rows[k]
-            c = N[i]
-            if c:
-                rows[k] = _q_reduce([scale * x + c * b for x, b in zip(N, base)], scale * d)
-
-
 def eliminate(M: Matrix, policy: str, units: tuple = ()) -> tuple[tuple[tuple, ...], tuple]:
     """The elimination shared by both compilers and regularize_general.
 
@@ -245,12 +119,7 @@ def eliminate(M: Matrix, policy: str, units: tuple = ()) -> tuple[tuple[tuple, .
     """
     field = M.field
     n = M.n
-    if field.modulus == 2:
-        rows = _GF2Rows(M)
-    elif field.modulus is not None:
-        rows = _GFpRows(M)
-    else:
-        rows = _RationalRows(M)
+    rows = row_backend(M)
     moves = list(range(n)) if policy == "perm" else [None] * n
     out = []
     for i in range(n):
@@ -338,9 +207,10 @@ def preimage_search(M: Matrix, *, max_candidates: int = PREIMAGE_MAX_CANDIDATES)
             f"preimage space {field.order}**{n * n} exceeds "
             f"max_candidates={max_candidates}; raise the limit to force"
         )
-    target = M.rows
+    target = row_backend(M).rows
     elements = tuple(field.elements())
-    coeff_rows = list(Matrix.identity(n, field).rows)
+    running = row_backend(Matrix.identity(n, field))
+    coeff_rows = running.rows
     chosen: list[tuple] = []
 
     def extend(i: int) -> bool:
@@ -348,7 +218,7 @@ def preimage_search(M: Matrix, *, max_candidates: int = PREIMAGE_MAX_CANDIDATES)
             return True
         saved = coeff_rows[i]
         for combo in product(elements, repeat=n):
-            produced = _combine(field, combo, coeff_rows, n)
+            produced = running.combine(combo)
             if produced == target[i]:
                 coeff_rows[i] = produced
                 chosen.append(combo)

@@ -130,6 +130,13 @@ def test_regularize_units_defaults_to_ones_off_gf2(capsys, tmp_path):
     assert M.rows[0][0] == 1 and M.rows[1][1] == 1
 
 
+def test_regularize_trace_refuses_non_gf2(capsys, tmp_path):
+    src = write(tmp_path, "g7.txt", "gfp 7\nn 2\n0 3\n5 0\n")
+    code, out, err = run(capsys, "regularize", "--trace", src)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "GF(2)" in err and len(err.splitlines()) == 1
+
+
 def test_phi(capsys, tmp_path):
     src = write(tmp_path, "d.txt", "gf2\nn 3\n1 1 1\n1 1 1\n0 1 1\n")
     code, out, _ = run(capsys, "phi", src)
@@ -277,6 +284,15 @@ def test_digit_limit_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "smatrix", src)
     assert (code, out) == (1, "")
     assert err == f"error: a result coefficient has more than {limit} digits, Python's int-to-text limit\n"
+
+
+def test_bad_numbers_exit_one(capsys, tmp_path):
+    # Dimensions and coding numbers that pass str.isdigit but not int().
+    huge = "7" * 5000
+    for text in ("gf2\nn ²\n1\n", f"gf2\nn {huge}\n1\n"):
+        code, out, err = run(capsys, "smatrix", write(tmp_path, "in.txt", text))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad dimension") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])

@@ -63,6 +63,12 @@ def test_parse_matrix_tolerates_blank_lines():
         "gf2\nn 2\n1 0 1\n0 1\n",
         "gf2\nn 2\n1 x\n0 1\n",
         "rational\nn 1\n1.5\n",
+        # str.isdigit accepts "²", which int() refuses; int() also refuses
+        # more than 4300 digits, "+1" and "1_0" are not plain decimals.
+        "gf2\nn ²\n1\n",
+        pytest.param(f"gf2\nn {'7' * 5000}\n1\n", id="5000-digit-dimension"),
+        "gf2\nn +1\n1\n",
+        "gf2\nn 1_0\n1\n",
     ],
 )
 def test_parse_matrix_rejects(text):
@@ -156,6 +162,10 @@ def test_perm_coding_round_trip():
         "gf2\nn 2\n1 0\n0 1\nswaps: 0 0\n",
         "gf2\nn 2\n1 0\n0 1\nfixups: x 0\n",
         "fixups: 0\n",
+        "gf2\nn 2\n1 0\n0 1\nfixups: ² 0\n",
+        "gf2\nn 2\n1 0\n0 1\nfixups: --1 0\n",
+        "gf2\nn 2\n1 0\n0 1\nperm: - 1\n",
+        pytest.param(f"gf2\nn 2\n1 0\n0 1\nperm: {'7' * 5000} 1\n", id="5000-digit-perm"),
     ],
 )
 def test_parse_coding_rejects(text):

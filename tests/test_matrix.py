@@ -27,6 +27,7 @@ from seqmat import (
     seq_matrix,
     seq_program,
     set_diag_ones,
+    gfp,
     unpack_gf2_rows,
 )
 from seqmat.errors import DimensionMismatchError, FieldMismatchError, PreconditionError
@@ -237,6 +238,72 @@ def test_rational_symbolic_matches_fraction_reference(n, density, bound, kind, s
         )
         P = StraightLineProgram(RATIONAL, n, steps)
     assert program_symbolic(P).rows == _reference_symbolic_q(P).rows
+
+
+def _reference_symbolic_gfp(P):
+    # The entrywise loop: each step replaces row C_target by
+    # sum_t coeffs[t] * C_t, summed entry by entry and reduced mod p.
+    p, n = P.field.modulus, P.n
+    rows = [tuple(int(t == u) for u in range(n)) for t in range(n)]
+    for s in P.steps:
+        acc = [0] * n
+        for c, row in zip(s.coeffs.entries, rows):
+            if c:
+                for u, v in enumerate(row):
+                    if v:
+                        acc[u] += c * v
+        rows[s.target] = tuple(v % p for v in acc)
+    return Matrix(P.field, tuple(rows))
+
+
+#: Small odd primes, where slots are narrow, and a 31-bit and a 63-bit prime.
+SYMBOLIC_PRIMES = (3, 7, 2**31 - 1, 2**63 - 25)
+
+
+def _random_gfp_row(rng, p, n, density):
+    # 1 and p-1 are frequent: p-1 makes the largest slot sums.
+    return [rng.choice((1, p - 1, rng.randrange(1, p))) if rng.random() < density else 0
+            for _ in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from(SYMBOLIC_PRIMES),
+    n=st.integers(1, 40),
+    density=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+    kind=st.sampled_from(("seq_program", "random")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gfp_symbolic_matches_entrywise_reference(p, n, density, kind, seed):
+    rng = random.Random(seed)
+    field = gfp(p)
+    if kind == "seq_program":
+        M = Matrix.of(field, [_random_gfp_row(rng, p, n, density) for _ in range(n)])
+        P = seq_program(M)
+    else:
+        # Up to 3n steps on random targets, so targets repeat, and some
+        # steps whose coefficient row is all zero.
+        steps = tuple(
+            step(field, rng.randrange(n),
+                 _random_gfp_row(rng, p, n, density if rng.random() < 0.8 else 0.0))
+            for _ in range(rng.randint(0, 3 * n))
+        )
+        P = StraightLineProgram(field, n, steps)
+    assert program_symbolic(P).rows == _reference_symbolic_gfp(P).rows
+
+
+def test_gfp_symbolic_largest_slot_sums():
+    # The first n steps make every row of C all p-1; the last one then sums
+    # n terms of (p-1)*(p-1) into every slot, the most a slot must hold.
+    for p in SYMBOLIC_PRIMES:
+        field = gfp(p)
+        for n in (1, 2, 17, 40):
+            top, copy = [p - 1] * n, [1] + [0] * (n - 1)
+            steps = [step(field, 0, top)]
+            steps += [step(field, t, copy) for t in range(1, n)]
+            steps.append(step(field, 0, top))
+            P = StraightLineProgram(field, n, tuple(steps))
+            assert program_symbolic(P).rows == _reference_symbolic_gfp(P).rows
 
 
 def test_oracle_identity_random():

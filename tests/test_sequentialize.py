@@ -170,7 +170,7 @@ def _enumerate_first_hit(M):
     return None
 
 
-@pytest.mark.parametrize("field,n", [(GF2, 2), (GF2, 3), (GF3, 2)])
+@pytest.mark.parametrize("field,n", [(GF2, 2), (GF2, 3), (GF3, 2), (gfp(5), 2)])
 def test_preimage_agrees_with_full_enumeration(field, n):
     rng = random.Random(303)
     for _ in range(12):
