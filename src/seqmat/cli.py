@@ -207,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_preimage)
 
     sub = subs.add_parser("regularize", help="regular constructor with matching off-diagonal")
-    sub.add_argument("--units", help="comma-separated diagonal entries (default: all ones)")
-    sub.add_argument("--trace", action="store_true", help="print the working matrix after every step")
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--units", help="comma-separated diagonal entries (default: all ones)")
+    group.add_argument("--trace", action="store_true",
+                       help="print the working matrix after every step of the GF(2) procedure")
     _matrix_arg(sub)
     sub.set_defaults(handler=_cmd_regularize)
 
@@ -260,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trace", False) and getattr(args, "units", None) is not None:
-        parser.error("--trace applies only to the plain GF(2) procedure, not --units")
     if [getattr(args, name, None) for name in ("matrix", "vector", "other")].count("-") > 1:
         parser.error("standard input ('-') can be read for at most one argument")
     try:

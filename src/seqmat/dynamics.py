@@ -10,6 +10,7 @@ a time (orbit) or for the whole space of regular n x n matrices
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -155,15 +156,23 @@ def census(n: int, *, force: bool = False) -> CensusReport:
     """Cycle-length histogram of regularize over all regular n x n matrices.
 
     Walks each cycle exactly once, marking visited matrices.  Guarded at
-    n <= CENSUS_MAX_N unless force is given (state count is 2**(n*n-n)).
+    n <= CENSUS_MAX_N unless force is given (state count is 2**(n*n-n)),
+    and refused even with force where that count is past sys.maxsize.
+    The refusals do not format n, which may be past Python's int-to-text
+    limit.
     """
     if n < 1:
         raise PreconditionError("census needs n >= 1")
+    bits = n * n - n
+    if bits >= sys.maxsize.bit_length():
+        raise GuardError(
+            "census enumerates 2**(n*n - n) matrices, too many to index even with force"
+        )
     if n > CENSUS_MAX_N and not force:
         raise GuardError(
-            f"census over n={n} enumerates 2**{n * n - n} matrices; pass force to allow"
+            f"census above n={CENSUS_MAX_N} enumerates 2**(n*n - n) matrices; pass force to allow"
         )
-    size = 1 << (n * n - n)
+    size = 1 << bits
     visited = bytearray(size)
     histogram: dict[int, int] = {}
     max_len = 0

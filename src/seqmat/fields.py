@@ -209,6 +209,16 @@ def gfp(p: int) -> FieldSpec:
     return FieldSpec(FieldKind.GFP, p)
 
 
+def parse_int(token: str, what: str) -> int:
+    """A decimal integer with an optional minus sign, else ParseError."""
+    if not token.removeprefix("-").isdecimal():
+        raise ParseError(f"bad {what}: {token!r}")
+    try:
+        return int(token)
+    except ValueError as exc:  # more digits than int() accepts
+        raise ParseError(f"bad {what}: {exc}") from None
+
+
 def field_parse(text: str) -> FieldSpec:
     """Parse a field descriptor: 'gf2' | 'gfp <p>' | 'rational'."""
     tokens = text.split()
@@ -217,12 +227,7 @@ def field_parse(text: str) -> FieldSpec:
     if tokens == ["rational"]:
         return RATIONAL
     if len(tokens) == 2 and tokens[0] == "gfp":
-        if not tokens[1].isdigit():
-            raise ParseError(f"bad gfp modulus: {tokens[1]!r}")
-        try:
-            p = int(tokens[1])
-        except ValueError as exc:  # a non-decimal digit, or too many digits
-            raise ParseError(f"bad gfp modulus: {exc}") from None
+        p = parse_int(tokens[1], "gfp modulus")
         try:
             return gfp(p)
         except PreconditionError as exc:

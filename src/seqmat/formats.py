@@ -19,23 +19,13 @@ sign, and "x<i> := 0" for an all-zero row.  Indices are 1-based.
 from __future__ import annotations
 
 from .errors import ParseError
-from .fields import FieldSpec, field_parse
+from .fields import FieldSpec, field_parse, parse_int
 from .matrix import Matrix, StraightLineProgram, Vector
 from .sequentialize import InSituCoding, PermCoding
 
 
 def _content_lines(text: str) -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
-
-
-def _parse_int(token: str, what: str) -> int:
-    """A decimal integer with an optional minus sign, else ParseError."""
-    if not token.removeprefix("-").isdecimal():
-        raise ParseError(f"bad {what}: {token!r}")
-    try:
-        return int(token)
-    except ValueError as exc:  # more digits than int() accepts
-        raise ParseError(f"bad {what}: {exc}") from None
 
 
 def _parse_header(lines: list[str]) -> tuple[FieldSpec, int]:
@@ -45,7 +35,7 @@ def _parse_header(lines: list[str]) -> tuple[FieldSpec, int]:
     parts = lines[1].split()
     if len(parts) != 2 or parts[0] != "n":
         raise ParseError(f"bad dimension line: {lines[1]!r}")
-    n = _parse_int(parts[1], "dimension")
+    n = parse_int(parts[1], "dimension")
     if n < 1:
         raise ParseError("dimension must be at least 1")
     return field, n
@@ -132,7 +122,7 @@ def parse_coding(text: str) -> InSituCoding | PermCoding:
         raise ParseError(f"expected a fixups/perm line, got {last!r}")
     if len(values) != n:
         raise ParseError(f"bad {kind} line: {last!r}")
-    nums = [_parse_int(v, f"{kind} entry") for v in values]
+    nums = [parse_int(v, f"{kind} entry") for v in values]
     if kind == "fixups":
         return InSituCoding.from_one_based(matrix, nums)
     return PermCoding.from_one_based(matrix, nums)

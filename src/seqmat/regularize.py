@@ -4,16 +4,16 @@ regularize(M) rewrites a GF(2) matrix into a regular matrix (all ones on
 the diagonal) whose in-place interpretation agrees with M off the
 diagonal.  The procedure walks rows top to bottom: at row i it clears
 the diagonal entry, adds the cleared row into every later row that reads
-column i, then sets the diagonal entry to 1.  regularize_packed runs it
-on bit-packed rows; it is the hot loop of the dynamics module.
+column i, then sets the diagonal entry to 1.  regularize_packed runs its
+first k steps on bit-packed rows; it is the hot loop of the dynamics
+module, and regularize_trace reads its snapshots off the prefixes k = 1..n.
+The step is the kernel's GF(2) substitution update (_GF2Rows.substitute
+in the matrix module), written out here so census pays no backend calls.
 
 regularize_general extends this to any field and any prescribed diagonal
 of invertible entries, using the substitution update with pivot
 units[i].  It is the "units" policy of the elimination kernel in the
 sequentialize module, on the packed rows of the matrix module.
-regularize_trace restates the GF(2) procedure entrywise so its
-step-by-step snapshots are directly comparable against known worked
-runs.
 """
 
 from __future__ import annotations
@@ -27,12 +27,15 @@ from .sequentialize import eliminate
 
 
 def regularize_packed(rows: Sequence[int], n: int) -> tuple[int, ...]:
-    """The GF(2) procedure on bit-packed rows (word XOR per row update)."""
+    """Steps 1..n of the GF(2) procedure on bit-packed rows (one word XOR
+    per row update); the updates reach every row, so n = len(rows) is the
+    whole procedure and a smaller n the working matrix after step n."""
     out = list(rows)
+    size = len(out)
     for i in range(n):
         bit = 1 << i
         ri = out[i] & ~bit
-        for k in range(i + 1, n):
+        for k in range(i + 1, size):
             if out[k] & bit:
                 out[k] ^= ri
         out[i] = ri | bit
@@ -47,26 +50,11 @@ def regularize(M: Matrix) -> Matrix:
 
 
 def regularize_trace(M: Matrix) -> list[Matrix]:
-    """Working-matrix snapshots after each step i = 1..n; the last is the result.
-
-    Entrywise re-statement of the packed procedure, kept separate so the
-    two implementations check each other.
-    """
+    """Working-matrix snapshots after each step i = 1..n; the last is the result."""
     require_gf2(M, "regularize")
     n = M.n
-    rows = [list(r) for r in M.rows]
-    snaps = []
-    for i in range(n):
-        rows[i][i] = 0
-        ri = rows[i]
-        for k in range(i + 1, n):
-            rk = rows[k]
-            if rk[i]:
-                for t in range(n):
-                    rk[t] ^= ri[t]
-        rows[i][i] = 1
-        snaps.append(Matrix(M.field, tuple(tuple(r) for r in rows)))
-    return snaps
+    packed = pack_gf2_rows(M)
+    return [unpack_gf2_rows(regularize_packed(packed, i), n) for i in range(1, n + 1)]
 
 
 def regularize_general(M: Matrix, units: Vector) -> Matrix:

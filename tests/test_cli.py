@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -295,6 +296,17 @@ def test_bad_numbers_exit_one(capsys, tmp_path):
         assert err.startswith("error: bad dimension") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["--n", "40", "--force"], ["--n", "1" + "0" * 2200]], ids=["40-force", "2201-digits"]
+)
+def test_census_past_index_range_exits_one(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: census") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
 def test_memory_error_and_interrupt_exit_one(capsys, monkeypatch, exc):
     def fail(*_args, **_kwargs):
@@ -334,7 +346,7 @@ def test_usage_errors_exit_two(capsys, m3):
     with pytest.raises(SystemExit) as exc:
         main(["regularize", "--trace", "--units", "1,1", m3])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert "not allowed with" in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_outputs_are_deterministic(capsys, m3):

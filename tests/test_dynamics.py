@@ -1,6 +1,8 @@
 """Orbits and censuses of the regular-constructor map on GF(2) matrices."""
 
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -203,6 +205,26 @@ def test_census_guards():
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize(
+    "n, force",
+    [(40, True), (10**2200, False), (10**2200, True)],
+    ids=["40-force", "2201-digits", "2201-digits-force"],
+)
+def test_census_refuses_past_index_range(n, force):
+    # Refused before the visited table is allocated, and without
+    # formatting n or 2**(n*n - n), whose digits are past the int/str limit.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(GuardError):
+            census(n, force=force)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 1 << 20
+
+
 def test_census_n5_guard_boundary():
     report = census(5)
     assert report.matrix_count == 1 << 20

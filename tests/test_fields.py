@@ -58,7 +58,11 @@ def test_field_parse_rejects_non_prime():
         field_parse("gfp 6")
 
 
-@pytest.mark.parametrize("text", ["gfp", "gfp x", "gf3", "", "gf2 7", "gfp 0", "gfp 1"])
+@pytest.mark.parametrize(
+    "text",
+    ["gfp", "gfp x", "gf3", "", "gf2 7", "gfp 0", "gfp 1", "gfp ²", "gfp +7", "gfp " + "7" * 5000],
+    ids=lambda text: text if len(text) < 20 else "gfp <5000 digits>",
+)
 def test_field_parse_rejects_garbage(text):
     with pytest.raises(ParseError):
         field_parse(text)

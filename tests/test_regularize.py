@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GF7, all_gf2_matrices, all_regular_gf2_matrices, random_matrix
 from seqmat import (
@@ -24,6 +26,24 @@ from seqmat import (
 from seqmat.errors import PreconditionError
 
 GF5 = gfp(5)
+
+
+def _reference_trace(M: Matrix) -> list[Matrix]:
+    """The GF(2) procedure entrywise: the working matrix after each step."""
+    n = M.n
+    rows = [list(r) for r in M.rows]
+    snaps = []
+    for i in range(n):
+        rows[i][i] = 0
+        ri = rows[i]
+        for k in range(i + 1, n):
+            rk = rows[k]
+            if rk[i]:
+                for t in range(n):
+                    rk[t] ^= ri[t]
+        rows[i][i] = 1
+        snaps.append(Matrix(M.field, tuple(tuple(r) for r in rows)))
+    return snaps
 
 
 def test_worked_example_with_intermediates():
@@ -77,7 +97,26 @@ def test_packed_variant_matches_entrywise_trace():
         n = rng.randint(1, 9)
         M = random_matrix(rng, GF2, n)
         packed = regularize_packed(pack_gf2_rows(M), n)
-        assert unpack_gf2_rows(packed, n) == regularize_trace(M)[-1]
+        assert unpack_gf2_rows(packed, n) == _reference_trace(M)[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    kind=st.sampled_from(("random", "zeros", "ones")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_prefixes_match_entrywise_reference(n, kind, seed):
+    # Prefix k of regularize_packed is the working matrix after step k,
+    # the input itself for k = 0; regularize_trace lists prefixes 1..n.
+    rng = random.Random(seed)
+    bit = {"random": lambda: rng.randrange(2), "zeros": lambda: 0, "ones": lambda: 1}[kind]
+    M = Matrix.of(GF2, [[bit() for _ in range(n)] for _ in range(n)])
+    expected = [M] + _reference_trace(M)
+    assert regularize_trace(M) == expected[1:]
+    packed = pack_gf2_rows(M)
+    for k in range(n + 1):
+        assert unpack_gf2_rows(regularize_packed(packed, k), n) == expected[k]
 
 
 def test_requires_gf2():
