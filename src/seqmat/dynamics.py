@@ -6,11 +6,18 @@ followed by forcing ones on the diagonal).  Every orbit is therefore a
 pure cycle through its start; this module measures those cycles, one at
 a time (orbit) or for the whole space of regular n x n matrices
 (census).  All iteration runs on bit-packed rows.
+
+census uses the tower structure of the map.  Rows 0..k of regularize(M)
+depend only on rows 0..k of M, so the map on whole matrices is a skew
+product over the base map on rows 0..n-2, and the last row moves by a
+GF(2)-linear map A_x chosen by the base state x.  census walks the base
+cycles; along a base cycle of length L the fiber maps compose to one
+linear map F, and each cycle of F of length m on the 2**(n-1) last rows
+is a cycle of length L*m of the full map.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -28,9 +35,12 @@ from .regularize import regularize_packed
 
 DEFAULT_MAX_ITER = 1 << 20
 
-#: Census is exhaustive over 2**(n*n - n) regular matrices; n = 5 is
-#: about a million states and the largest size allowed without force.
+#: Census covers all 2**(n*n - n) regular matrices; n = 5 is about a
+#: million of them and the largest size allowed without force.
 CENSUS_MAX_N = 5
+#: Census refuses, even with force, a visited table past 2**32 bytes:
+#: n = 6 needs 2**25 bytes, n = 7 would need 2**36.
+CENSUS_MAX_TABLE_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -126,24 +136,25 @@ def trajectory(M0: Matrix, steps: int) -> list[Matrix]:
 
 # -- exhaustive census -----------------------------------------------------
 #
-# A regular matrix is identified by its off-diagonal bits: row i
-# contributes n-1 bits (its row with bit i removed), giving a dense
-# index in [0, 2**(n*n - n)).
+# The census walks the base, rows 0..n-2 of a regular matrix.  Row i has
+# n bits; dropping its diagonal bit i leaves n-1, so the base has a dense
+# index in [0, 2**((n-1)**2)).
 
 
-def _offdiag_index(rows: tuple[int, ...], n: int) -> int:
+def _base_index(rows: tuple[int, ...], n: int) -> int:
     idx = 0
     shift = 0
-    for i, r in enumerate(rows):
+    for i in range(n - 1):
+        r = rows[i]
         idx |= ((r & ((1 << i) - 1)) | ((r >> (i + 1)) << i)) << shift
         shift += n - 1
     return idx
 
 
-def _rows_from_index(idx: int, n: int) -> tuple[int, ...]:
+def _base_rows(idx: int, n: int) -> tuple[int, ...]:
     mask = (1 << (n - 1)) - 1
     rows = []
-    for i in range(n):
+    for i in range(n - 1):
         packed = idx & mask
         idx >>= n - 1
         low = packed & ((1 << i) - 1)
@@ -152,51 +163,83 @@ def _rows_from_index(idx: int, n: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _fiber_cycles(cols: list[int]) -> list[int]:
+    """Cycle lengths of the GF(2)-linear map with these columns on all
+    2**len(cols) vectors; InvariantViolation if it is not a bijection."""
+    image = [0]
+    for col in cols:
+        image += [w ^ col for w in image]
+    seen = bytearray(len(image))
+    lengths = []
+    for v in range(len(image)):
+        if seen[v]:
+            continue
+        w, m = v, 0
+        while True:
+            seen[w] = 1
+            w = image[w]
+            m += 1
+            if w == v:
+                break
+            if seen[w]:
+                raise InvariantViolation("fiber walk reached a previously visited non-start vector")
+        lengths.append(m)
+    return lengths
+
+
 def census(n: int, *, force: bool = False) -> CensusReport:
     """Cycle-length histogram of regularize over all regular n x n matrices.
 
-    Walks each cycle exactly once, marking visited matrices.  Guarded at
-    n <= CENSUS_MAX_N unless force is given (state count is 2**(n*n-n)),
-    and refused even with force where that count is past sys.maxsize.
-    The refusals do not format n, which may be past Python's int-to-text
-    limit.
+    Walks the 2**((n-1)**2) base states (rows 0..n-2) with a visited
+    table, each base cycle once.  Over a base state x the last row's
+    off-diagonal bits y move by y -> A_x y: each step i < n-1 adds the
+    updated row i into y when y_i is set.  The unit vectors e_0..e_(n-2)
+    ride along as extra rows of regularize_packed, which gives them
+    exactly that update, so after the L steps of a base cycle they hold
+    the columns of F = A_x(L-1) ... A_x(0) (bit n-1, the last row's
+    diagonal, is masked off).  Each cycle of F of length m on the
+    2**(n-1) last rows adds a cycle of length L*m.  Both walks check
+    that every orbit is a pure cycle.
+
+    Guarded at n <= CENSUS_MAX_N unless force is given, and refused even
+    with force where the visited table would pass 2**CENSUS_MAX_TABLE_BITS
+    bytes.  The refusals do not format n, which may be past Python's
+    int-to-text limit.
     """
     if n < 1:
         raise PreconditionError("census needs n >= 1")
-    bits = n * n - n
-    if bits >= sys.maxsize.bit_length():
+    b = n - 1
+    if b * b > CENSUS_MAX_TABLE_BITS:
         raise GuardError(
-            "census enumerates 2**(n*n - n) matrices, too many to index even with force"
+            f"census needs a 2**((n-1)**2)-byte visited table, past "
+            f"2**{CENSUS_MAX_TABLE_BITS} bytes; refused even with force"
         )
     if n > CENSUS_MAX_N and not force:
         raise GuardError(
             f"census above n={CENSUS_MAX_N} enumerates 2**(n*n - n) matrices; pass force to allow"
         )
-    size = 1 << bits
-    visited = bytearray(size)
+    units = tuple(1 << j for j in range(b))
+    mask = (1 << b) - 1
     histogram: dict[int, int] = {}
-    max_len = 0
-    for start in range(size):
+    visited = bytearray(1 << (b * b))
+    for start in range(len(visited)):
         if visited[start]:
             continue
-        rows = _rows_from_index(start, n)
+        rows = _base_rows(start, n) + units
         idx = start
         length = 0
         while True:
             visited[idx] = 1
-            rows = regularize_packed(rows, n)
-            idx = _offdiag_index(rows, n)
+            rows = regularize_packed(rows, b)
+            idx = _base_index(rows, n)
             length += 1
             if idx == start:
                 break
             if visited[idx]:
-                raise InvariantViolation(
-                    "cycle walk reached a previously visited non-start matrix"
-                )
-        histogram[length] = histogram.get(length, 0) + length
-        if length > max_len:
-            max_len = length
-    return CensusReport(n, dict(sorted(histogram.items())), max_len)
+                raise InvariantViolation("base walk reached a previously visited non-start state")
+        for m in _fiber_cycles([col & mask for col in rows[b:]]):
+            histogram[length * m] = histogram.get(length * m, 0) + length * m
+    return CensusReport(n, dict(sorted(histogram.items())), max(histogram))
 
 
 def load_orbit_seed() -> Matrix:

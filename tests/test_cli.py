@@ -307,6 +307,12 @@ def test_census_past_index_range_exits_one(capsys, argv):
     assert err.startswith("error: census") and len(err.splitlines()) == 1
 
 
+def test_census_past_table_cap_exits_one(capsys):
+    code, out, err = run(capsys, "census", "--n", "7", "--force")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: census") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
 def test_memory_error_and_interrupt_exit_one(capsys, monkeypatch, exc):
     def fail(*_args, **_kwargs):

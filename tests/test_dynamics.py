@@ -1,8 +1,10 @@
 """Orbits and censuses of the regular-constructor map on GF(2) matrices."""
 
+import json
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,9 @@ from seqmat import (
     trajectory,
 )
 from seqmat.errors import GuardError, InvariantViolation, PreconditionError
+from seqmat.regularize import regularize_packed
+
+CENSUS_6 = Path(__file__).parent / "data" / "census_6.json"
 
 
 def test_phi_identity():
@@ -92,11 +97,24 @@ def test_orbit_verification_catches_non_injective_map(monkeypatch):
         orbit(start, 50)
 
 
-def test_census_catches_non_injective_map(monkeypatch):
-    # index 0 is the identity and maps to itself; index 1 then lands on
-    # the already-visited identity, which is not its own start
-    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map((1, 2, 4)))
-    with pytest.raises(InvariantViolation):
+def test_census_base_walk_catches_non_injective_map(monkeypatch):
+    # census(3) walks the four states of rows 0..1.  Every step lands on
+    # state 0, rows (1, 2), with identity fiber columns (1, 2): state 0
+    # is a fixed point with an invertible fiber, and state 1 then lands on
+    # the visited state 0, which is not its own start.
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map((1, 2, 1, 2)))
+    with pytest.raises(InvariantViolation, match="base walk"):
+        census(3)
+
+
+def test_census_fiber_walk_catches_singular_product(monkeypatch):
+    # The real base map, but the fiber rows riding along are zeroed, so
+    # the product F is singular: 0 and e_0 both map to 0.
+    def collapse(rows, n):
+        return regularize_packed(rows, n)[:n] + (0,) * (len(rows) - n)
+
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", collapse)
+    with pytest.raises(InvariantViolation, match="fiber walk"):
         census(3)
 
 
@@ -195,6 +213,54 @@ def test_census_lengths_match_orbits():
         assert orbit(M).cycle_length in report.histogram
 
 
+def _direct_census(n):
+    """Reference census: walk every cycle of regularize on all 2**(n*n - n)
+    regular matrices, one full step at a time, with a visited table."""
+
+    def index(rows):
+        idx = 0
+        for i, r in enumerate(rows):
+            idx |= ((r & ((1 << i) - 1)) | ((r >> (i + 1)) << i)) << (i * (n - 1))
+        return idx
+
+    def rows_at(idx):
+        rows = []
+        for i in range(n):
+            packed = (idx >> (i * (n - 1))) & ((1 << (n - 1)) - 1)
+            rows.append((packed & ((1 << i) - 1)) | ((packed >> i) << (i + 1)) | (1 << i))
+        return tuple(rows)
+
+    visited = bytearray(1 << (n * n - n))
+    histogram = {}
+    for start in range(len(visited)):
+        if visited[start]:
+            continue
+        rows, idx, length = rows_at(start), start, 0
+        while True:
+            visited[idx] = 1
+            rows = regularize_packed(rows, n)
+            idx = index(rows)
+            length += 1
+            if idx == start:
+                break
+            if visited[idx]:
+                raise InvariantViolation("direct walk revisited a non-start matrix")
+        histogram[length] = histogram.get(length, 0) + length
+    return dict(sorted(histogram.items())), max(histogram)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_tower_matches_direct_walk(n):
+    report = census(n)
+    assert (report.histogram, report.max_cycle_length) == _direct_census(n)
+
+
+@pytest.mark.slow
+def test_census_tower_matches_direct_walk_n5():
+    report = census(5)
+    assert (report.histogram, report.max_cycle_length) == _direct_census(5)
+
+
 def test_census_guards():
     with pytest.raises(PreconditionError):
         census(0)
@@ -204,15 +270,9 @@ def test_census_guards():
     assert census(3, force=True) == census(3)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize(
-    "n, force",
-    [(40, True), (10**2200, False), (10**2200, True)],
-    ids=["40-force", "2201-digits", "2201-digits-force"],
-)
-def test_census_refuses_past_index_range(n, force):
+def _assert_refused_cheaply(n, force):
     # Refused before the visited table is allocated, and without
-    # formatting n or 2**(n*n - n), whose digits are past the int/str limit.
+    # formatting n or 2**(n*n - n), whose digits may be past the int/str limit.
     tracemalloc.start()
     start = time.perf_counter()
     try:
@@ -225,8 +285,40 @@ def test_census_refuses_past_index_range(n, force):
     assert elapsed < 0.5 and peak < 1 << 20
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "n, force",
+    [(40, True), (10**2200, False), (10**2200, True)],
+    ids=["40-force", "2201-digits", "2201-digits-force"],
+)
+def test_census_refuses_past_index_range(n, force):
+    _assert_refused_cheaply(n, force)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_census_force_refuses_past_table_cap(n):
+    # 2**36 and 2**49 bytes of visited table, past the 2**32-byte cap.
+    _assert_refused_cheaply(n, True)
+
+
 def test_census_n5_guard_boundary():
     report = census(5)
+    assert report.histogram == {
+        1: 15920, 2: 144496, 3: 22656, 4: 144672, 6: 250752, 8: 58624, 9: 1584,
+        12: 148704, 16: 9216, 18: 161712, 24: 24576, 36: 38016, 54: 27648,
+    }
+    assert report.max_cycle_length == 54
     assert report.matrix_count == 1 << 20
-    for length, count in report.histogram.items():
-        assert count % length == 0
+
+
+def test_census_6_data_file():
+    # The committed census(6, force=True) result: whole cycles covering
+    # every regular 6x6 matrix, and every sampled orbit length among them.
+    data = json.loads(CENSUS_6.read_text())
+    histogram = {int(k): v for k, v in data["histogram"].items()}
+    assert sum(histogram.values()) == 1 << 30
+    assert all(count % length == 0 for length, count in histogram.items())
+    assert data["max"] == max(histogram)
+    rng = random.Random(6)
+    for _ in range(50):
+        assert orbit(random_regular_gf2(rng, 6)).cycle_length in histogram
