@@ -5,7 +5,8 @@ and, restricted to them, is a bijection whose inverse is phi (seq_matrix
 followed by forcing ones on the diagonal).  Every orbit is therefore a
 pure cycle through its start; this module measures those cycles, one at
 a time (orbit) or for the whole space of regular n x n matrices
-(census).  All iteration runs on bit-packed rows.
+(census).  All iteration runs on words, the whole matrix in one int
+(pack_gf2_rows), one regularize_packed call per step.
 
 census uses the tower structure of the map.  Rows 0..k of regularize(M)
 depend only on rows 0..k of M, so the map on whole matrices is a skew
@@ -31,7 +32,7 @@ from .matrix import (
     set_diag_ones,
     unpack_gf2_rows,
 )
-from .regularize import regularize_packed
+from .regularize import regularize_packed, regularize_plan
 
 DEFAULT_MAX_ITER = 1 << 20
 
@@ -100,13 +101,13 @@ def orbit(
     _require_regular_gf2(M0, "orbit")
     if max_iter < 1:
         raise PreconditionError("max_iter must be at least 1")
-    n = M0.n
+    plan = regularize_plan(M0.n)
     start = pack_gf2_rows(M0)
     seen = {start} if verify_pure_cycle else None
     cur = start
     length = 0
     while True:
-        cur = regularize_packed(cur, n)
+        cur = regularize_packed(cur, plan)
         length += 1
         if cur == start:
             return OrbitReport(M0, length)
@@ -126,41 +127,37 @@ def trajectory(M0: Matrix, steps: int) -> list[Matrix]:
     if steps < 0:
         raise PreconditionError("steps must be nonnegative")
     n = M0.n
+    plan = regularize_plan(n)
     out = [M0]
     cur = pack_gf2_rows(M0)
     for _ in range(steps):
-        cur = regularize_packed(cur, n)
+        cur = regularize_packed(cur, plan)
         out.append(unpack_gf2_rows(cur, n))
     return out
 
 
 # -- exhaustive census -----------------------------------------------------
 #
-# The census walks the base, rows 0..n-2 of a regular matrix.  Row i has
-# n bits; dropping its diagonal bit i leaves n-1, so the base has a dense
-# index in [0, 2**((n-1)**2)).
+# The census walks the base, rows 0..n-2 of a regular matrix, as the low
+# (n-1)*n bits of a word.  Its diagonal bits sit at i*(n+1); n off-diagonal
+# bits lie between two of them and one after the last, so dropping them
+# leaves a dense index in [0, 2**((n-1)**2)).
 
 
-def _base_index(rows: tuple[int, ...], n: int) -> int:
+def _base_index(word: int, n: int) -> int:
+    b, full = n - 1, (1 << n) - 1
     idx = 0
-    shift = 0
-    for i in range(n - 1):
-        r = rows[i]
-        idx |= ((r & ((1 << i) - 1)) | ((r >> (i + 1)) << i)) << shift
-        shift += n - 1
-    return idx
+    for i in range(b):
+        idx |= ((word >> i * (n + 1) + 1) & full) << i * n
+    return idx & ((1 << b * b) - 1)
 
 
-def _base_rows(idx: int, n: int) -> tuple[int, ...]:
-    mask = (1 << (n - 1)) - 1
-    rows = []
+def _base_rows(idx: int, n: int) -> int:
+    full = (1 << n) - 1
+    word = 0
     for i in range(n - 1):
-        packed = idx & mask
-        idx >>= n - 1
-        low = packed & ((1 << i) - 1)
-        high = (packed >> i) << (i + 1)
-        rows.append(low | high | (1 << i))
-    return tuple(rows)
+        word |= (((idx >> i * n) & full) << i * (n + 1) + 1) | (1 << i * (n + 1))
+    return word
 
 
 def _fiber_cycles(cols: list[int]) -> list[int]:
@@ -194,10 +191,10 @@ def census(n: int, *, force: bool = False) -> CensusReport:
     table, each base cycle once.  Over a base state x the last row's
     off-diagonal bits y move by y -> A_x y: each step i < n-1 adds the
     updated row i into y when y_i is set.  The unit vectors e_0..e_(n-2)
-    ride along as extra rows of regularize_packed, which gives them
-    exactly that update, so after the L steps of a base cycle they hold
-    the columns of F = A_x(L-1) ... A_x(0) (bit n-1, the last row's
-    diagonal, is masked off).  Each cycle of F of length m on the
+    ride along as rows n-1..2n-3 of the word, where regularize_packed
+    gives them exactly that update, so after the L steps of a base cycle
+    they hold the columns of F = A_x(L-1) ... A_x(0) (bit n-1, the last
+    row's diagonal, is masked off).  Each cycle of F of length m on the
     2**(n-1) last rows adds a cycle of length L*m.  Both walks check
     that every orbit is a pure cycle.
 
@@ -218,26 +215,27 @@ def census(n: int, *, force: bool = False) -> CensusReport:
         raise GuardError(
             f"census above n={CENSUS_MAX_N} enumerates 2**(n*n - n) matrices; pass force to allow"
         )
-    units = tuple(1 << j for j in range(b))
+    plan = regularize_plan(n, 2 * b, b)
+    units = sum(1 << (b + j) * n + j for j in range(b))
     mask = (1 << b) - 1
     histogram: dict[int, int] = {}
     visited = bytearray(1 << (b * b))
     for start in range(len(visited)):
         if visited[start]:
             continue
-        rows = _base_rows(start, n) + units
+        word = _base_rows(start, n) | units
         idx = start
         length = 0
         while True:
             visited[idx] = 1
-            rows = regularize_packed(rows, b)
-            idx = _base_index(rows, n)
+            word = regularize_packed(word, plan)
+            idx = _base_index(word, n)
             length += 1
             if idx == start:
                 break
             if visited[idx]:
                 raise InvariantViolation("base walk reached a previously visited non-start state")
-        for m in _fiber_cycles([col & mask for col in rows[b:]]):
+        for m in _fiber_cycles([(word >> (b + j) * n) & mask for j in range(b)]):
             histogram[length * m] = histogram.get(length * m, 0) + length * m
     return CensusReport(n, dict(sorted(histogram.items())), max(histogram))
 

@@ -18,7 +18,9 @@ row sum_t c_t * row_t (combine):
 
 * GF(2): row k is one int, bit t holding entry (k, t).  A sum is one
   XOR per nonzero coefficient; a substitution update is one XOR with the
-  pivot row minus its diagonal bit.
+  pivot row minus its diagonal bit.  Placed side by side, row k at bit
+  k*n, the rows make the matrix's word (pack_gf2_rows), on which the
+  regularize module runs the update for all rows of a step at once.
 * GF(p), p odd: row k is one int of n slots, entry (k, t) in slot t
   (Kronecker substitution).  A term c * row is one big-int multiply-add
   over the whole row.  A slot has (n*p*p).bit_length() bits, rounded up
@@ -254,17 +256,25 @@ def seq_equivalent(M: Matrix, W: Matrix) -> bool:
     return seq_matrix(M) == seq_matrix(W)
 
 
-# -- GF(2) bit packing ----------------------------------------------------
+# -- GF(2) words ------------------------------------------------------------
+
+# A word is read and written as its base-2 text, entry (0, 0) last; these
+# translate the entry bytes 0 and 1 to and from that text.
+_TO_TEXT = bytes.maketrans(b"\0\1", b"01")
+_FROM_TEXT = bytes.maketrans(b"01", b"\0\1")
 
 
-def pack_gf2_rows(M: Matrix) -> tuple[int, ...]:
-    """Rows as ints, bit j of row i = entry (i, j)."""
+def pack_gf2_rows(M: Matrix) -> int:
+    """M as one int, its word: bit k*n + t holds entry (k, t), so row k is
+    bits k*n .. k*n + n - 1 (the GF(2) backend's rows, side by side)."""
     require_gf2(M, "bit packing")
-    return tuple(_GF2Rows(M).rows)
+    return int(b"".join(bytes(row[::-1]) for row in reversed(M.rows)).translate(_TO_TEXT), 2)
 
 
-def unpack_gf2_rows(packed, n: int) -> Matrix:
-    return Matrix(GF2, tuple(tuple((r >> j) & 1 for j in range(n)) for r in packed))
+def unpack_gf2_rows(word: int, n: int) -> Matrix:
+    """The n x n matrix of a word."""
+    raw = format(word, f"0{n * n}b")[::-1].encode().translate(_FROM_TEXT)
+    return Matrix(GF2, tuple(tuple(raw[k * n:k * n + n]) for k in range(n)))
 
 
 # -- packed row backends (see the module docstring) ---------------------------------

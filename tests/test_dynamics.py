@@ -23,6 +23,7 @@ from seqmat import (
 )
 from seqmat.errors import GuardError, InvariantViolation, PreconditionError
 from seqmat.regularize import regularize_packed
+from test_regularize import _reference_packed
 
 CENSUS_6 = Path(__file__).parent / "data" / "census_6.json"
 
@@ -82,14 +83,15 @@ def test_orbit_detects_max_iter():
 
 
 def _constant_map(image):
-    """A non-injective stand-in for regularize_packed: every input goes to image."""
-    return lambda rows, n: image
+    """A non-injective stand-in for regularize_packed: every word goes to image."""
+    return lambda word, plan: image
 
 
 def test_orbit_verification_catches_non_injective_map(monkeypatch):
     start = Matrix.of(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    # start -> I -> I -> ...: a rho-shaped orbit that never returns to start
-    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map((1, 2, 4)))
+    # start -> I -> I -> ...: a rho-shaped orbit that never returns to start.
+    # The word of I holds row k's diagonal bit at k*3 + k.
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map(0b100_010_001))
     with pytest.raises(InvariantViolation):
         orbit(start, 50, verify_pure_cycle=True)
     # production mode only compares against the start, so it runs out of steps
@@ -98,20 +100,22 @@ def test_orbit_verification_catches_non_injective_map(monkeypatch):
 
 
 def test_census_base_walk_catches_non_injective_map(monkeypatch):
-    # census(3) walks the four states of rows 0..1.  Every step lands on
-    # state 0, rows (1, 2), with identity fiber columns (1, 2): state 0
-    # is a fixed point with an invertible fiber, and state 1 then lands on
-    # the visited state 0, which is not its own start.
-    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map((1, 2, 1, 2)))
+    # census(3) walks the four states of rows 0..1, in a word of four rows
+    # of width 3.  Every step lands on state 0, base rows e_0, e_1, with
+    # identity fiber columns e_0, e_1 in rows 2..3: state 0 is a fixed
+    # point with an invertible fiber, and state 1 then lands on the
+    # visited state 0, which is not its own start.
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map(0b010_001_010_001))
     with pytest.raises(InvariantViolation, match="base walk"):
         census(3)
 
 
 def test_census_fiber_walk_catches_singular_product(monkeypatch):
-    # The real base map, but the fiber rows riding along are zeroed, so
-    # the product F is singular: 0 and e_0 both map to 0.
-    def collapse(rows, n):
-        return regularize_packed(rows, n)[:n] + (0,) * (len(rows) - n)
+    # The real base map, but the fiber rows riding along (rows 2..3 of
+    # the word) are zeroed, so the product F is singular: 0 and e_0 both
+    # map to 0.
+    def collapse(word, plan):
+        return regularize_packed(word, plan) & 0b111_111
 
     monkeypatch.setattr("seqmat.dynamics.regularize_packed", collapse)
     with pytest.raises(InvariantViolation, match="fiber walk"):
@@ -215,7 +219,8 @@ def test_census_lengths_match_orbits():
 
 def _direct_census(n):
     """Reference census: walk every cycle of regularize on all 2**(n*n - n)
-    regular matrices, one full step at a time, with a visited table."""
+    regular matrices, one full step at a time on tuple rows, with a
+    visited table."""
 
     def index(rows):
         idx = 0
@@ -238,7 +243,7 @@ def _direct_census(n):
         rows, idx, length = rows_at(start), start, 0
         while True:
             visited[idx] = 1
-            rows = regularize_packed(rows, n)
+            rows = _reference_packed(rows, n)
             idx = index(rows)
             length += 1
             if idx == start:

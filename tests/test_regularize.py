@@ -19,8 +19,10 @@ from seqmat import (
     regularize,
     regularize_general,
     regularize_packed,
+    regularize_plan,
     regularize_trace,
     seq_matrix,
+    trajectory,
     unpack_gf2_rows,
 )
 from seqmat.errors import PreconditionError
@@ -44,6 +46,29 @@ def _reference_trace(M: Matrix) -> list[Matrix]:
         rows[i][i] = 1
         snaps.append(Matrix(M.field, tuple(tuple(r) for r in rows)))
     return snaps
+
+
+def _reference_packed(rows: tuple[int, ...], steps: int) -> tuple[int, ...]:
+    """Steps 1..steps of the GF(2) procedure on rows packed one int each
+    (bit t of row k = entry (k, t)), one row update at a time; the
+    updates reach every row, extra rows below the matrix included."""
+    out = list(rows)
+    for i in range(steps):
+        bit = 1 << i
+        ri = out[i] & ~bit
+        for k in range(i + 1, len(out)):
+            if out[k] & bit:
+                out[k] ^= ri
+        out[i] = ri | bit
+    return tuple(out)
+
+
+def _word(rows, n):
+    return sum(r << k * n for k, r in enumerate(rows))
+
+
+def _split(word, n, count):
+    return tuple((word >> k * n) & ((1 << n) - 1) for k in range(count))
 
 
 def test_worked_example_with_intermediates():
@@ -96,8 +121,8 @@ def test_packed_variant_matches_entrywise_trace():
     for _ in range(100):
         n = rng.randint(1, 9)
         M = random_matrix(rng, GF2, n)
-        packed = regularize_packed(pack_gf2_rows(M), n)
-        assert unpack_gf2_rows(packed, n) == _reference_trace(M)[-1]
+        word = regularize_packed(pack_gf2_rows(M), regularize_plan(n))
+        assert unpack_gf2_rows(word, n) == _reference_trace(M)[-1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -107,16 +132,52 @@ def test_packed_variant_matches_entrywise_trace():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_packed_prefixes_match_entrywise_reference(n, kind, seed):
-    # Prefix k of regularize_packed is the working matrix after step k,
+    # The plan of the first k steps gives the working matrix after step k,
     # the input itself for k = 0; regularize_trace lists prefixes 1..n.
     rng = random.Random(seed)
     bit = {"random": lambda: rng.randrange(2), "zeros": lambda: 0, "ones": lambda: 1}[kind]
     M = Matrix.of(GF2, [[bit() for _ in range(n)] for _ in range(n)])
     expected = [M] + _reference_trace(M)
     assert regularize_trace(M) == expected[1:]
-    packed = pack_gf2_rows(M)
+    word = pack_gf2_rows(M)
     for k in range(n + 1):
-        assert unpack_gf2_rows(regularize_packed(packed, k), n) == expected[k]
+        assert unpack_gf2_rows(regularize_packed(word, regularize_plan(n, n, k)), n) == expected[k]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 16),
+    extra=st.integers(0, 16),
+    kind=st.sampled_from(("random", "zeros", "ones")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_word_kernel_matches_tuple_reference(n, extra, kind, seed):
+    # n..2n rows of width n (census lets the unit rows ride along below
+    # the matrix), every step count 0..n.
+    count = n + extra % (n + 1)
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    row = {"random": lambda: rng.getrandbits(n), "zeros": lambda: 0, "ones": lambda: full}[kind]
+    rows = tuple(row() for _ in range(count))
+    for steps in range(n + 1):
+        word = regularize_packed(_word(rows, n), regularize_plan(n, count, steps))
+        assert _split(word, n, count) == _reference_packed(rows, steps)
+        assert word >> count * n == 0
+        if count == n:
+            expected = unpack_gf2_rows(_word(_reference_packed(rows, steps), n), n)
+            assert unpack_gf2_rows(word, n) == expected
+            assert pack_gf2_rows(expected) == _word(_reference_packed(rows, steps), n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), k=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_trajectory_is_repeated_regularize(n, k, seed):
+    rng = random.Random(seed)
+    M = Matrix.of(GF2, [[1 if i == j else rng.randrange(2) for j in range(n)] for i in range(n)])
+    expected = [M]
+    for _ in range(k):
+        expected.append(regularize(expected[-1]))
+    assert trajectory(M, k) == expected
 
 
 def test_requires_gf2():
