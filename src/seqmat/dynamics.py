@@ -8,13 +8,17 @@ a time (orbit) or for the whole space of regular n x n matrices
 (census).  All iteration runs on words, the whole matrix in one int
 (pack_gf2_rows), one regularize_packed call per step.
 
-census uses the tower structure of the map.  Rows 0..k of regularize(M)
-depend only on rows 0..k of M, so the map on whole matrices is a skew
-product over the base map on rows 0..n-2, and the last row moves by a
-GF(2)-linear map A_x chosen by the base state x.  census walks the base
-cycles; along a base cycle of length L the fiber maps compose to one
+orbit and census both use the tower structure of the map.  Rows 0..k of
+regularize(M) depend only on rows 0..k of M, so the map on whole
+matrices is a skew product over the base map on rows 0..n-2, and the
+last row moves by a GF(2)-linear map A_x chosen by the base state x.
+Both walk base cycles with the unit vectors of the last row riding along
+(_Tower); along a base cycle of length L the fiber maps compose to one
 linear map F, and each cycle of F of length m on the 2**(n-1) last rows
-is a cycle of length L*m of the full map.
+is a cycle of length L*m of the full map.  orbit walks the one base
+cycle through its start and then the start's last row under F; census
+walks every base cycle and every cycle of each F.  trajectory, which
+returns every matrix, takes plain full steps.
 """
 
 from __future__ import annotations
@@ -83,6 +87,48 @@ def phi(M: Matrix) -> Matrix:
     return set_diag_ones(seq_matrix(M))
 
 
+class _Tower:
+    """The skew-product word for n x n matrices, shared by orbit and census.
+
+    A tower word holds a base state, rows 0..n-2, in its low (n-1)*n
+    bits (mask base) and the unit vectors e_0..e_(n-2) as rows
+    n-1..2n-3.  plan takes the n-1 steps of the base rows:
+    regularize_packed moves the base by the base map and gives each unit
+    row the update the last row gets, y -> A_x y (each step i < n-1 adds
+    the updated row i into y when y_i is set).  So after the steps of a
+    base cycle the unit rows hold the columns of F = A_x(L-1) ... A_x(0);
+    columns masks off bit n-1, the last row's diagonal.
+    """
+
+    def __init__(self, n: int):
+        b = n - 1
+        self.n = n
+        self.plan = regularize_plan(n, 2 * b, b)
+        self.units = sum(1 << (b + j) * n + j for j in range(b))
+        self.base = (1 << b * n) - 1
+        self.last = (1 << b) - 1
+
+    def split(self, word: int) -> tuple[int, int]:
+        """The base state and the last row's off-diagonal bits of the
+        n x n matrix word."""
+        return word & self.base, (word >> (self.n - 1) * self.n) & self.last
+
+    def columns(self, word: int) -> list[int]:
+        """The columns of F that the unit rows of word hold."""
+        n, b = self.n, self.n - 1
+        return [(word >> (b + j) * n) & self.last for j in range(b)]
+
+
+def _apply(cols: list[int], y: int) -> int:
+    """The GF(2)-linear map with these columns applied to y."""
+    out = 0
+    for col in cols:
+        if y & 1:
+            out ^= col
+        y >>= 1
+    return out
+
+
 def orbit(
     M0: Matrix,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -92,33 +138,62 @@ def orbit(
     """Iterate regularize from M0 until M0 recurs; the recurrence index is
     the cycle length.
 
-    Production mode compares each iterate against the start only (O(1)
-    memory).  With verify_pure_cycle a visited set is kept and any
-    repeat that is not the start raises InvariantViolation: such a
-    rho-shaped orbit would contradict regularize being invertible on
-    regular matrices.
+    Computed by the tower (see _Tower): the base walk steps rows 0..n-2
+    until they return to M0's after L_b steps, and the fiber walk steps
+    M0's last row under the composed fiber map F until it returns after
+    m steps; the cycle length is L_b * m.  Either walk raises GuardError
+    as soon as the cycle length would pass max_iter, so orbit returns
+    exactly when it is at most max_iter.
+
+    Production mode compares each base state and each fiber vector with
+    M0's only: O(1) memory besides the n-1 columns of F.  With
+    verify_pure_cycle each walk keeps a visited set (up to L_b base
+    states and m vectors) and any repeat that is not the start raises
+    InvariantViolation: such a rho-shaped orbit would contradict
+    regularize being invertible on regular matrices.
+
+    Each base step runs regularize on a word of 2n-2 rows, not n, which
+    costs up to about twice a plain step at n >= 32: there an orbit whose
+    last row returns after m <= 2 turns of F runs slower than its L_b * m
+    plain steps would (about 1.4x at n = 32, m = 1).  For n <= 12 the extra
+    rows cost under about 10% per step.
     """
     _require_regular_gf2(M0, "orbit")
     if max_iter < 1:
         raise PreconditionError("max_iter must be at least 1")
-    plan = regularize_plan(M0.n)
+    tower = _Tower(M0.n)
+    plan, basemask = tower.plan, tower.base
     start = pack_gf2_rows(M0)
-    seen = {start} if verify_pure_cycle else None
-    cur = start
-    length = 0
-    while True:
-        cur = regularize_packed(cur, plan)
-        length += 1
-        if cur == start:
-            return OrbitReport(M0, length)
+    base, y0 = tower.split(start)
+    seen = {base} if verify_pure_cycle else None
+    word = base | tower.units
+    for length in range(1, max_iter + 1):
+        word = regularize_packed(word, plan)
+        cur = word & basemask
+        if cur == base:
+            break
         if seen is not None:
             if cur in seen:
                 raise InvariantViolation(
-                    f"orbit revisited a non-start matrix after {length} steps"
+                    f"orbit base walk revisited a non-start state after {length} steps"
                 )
             seen.add(cur)
-        if length >= max_iter:
-            raise GuardError(f"no recurrence within max_iter={max_iter} steps")
+    else:
+        raise GuardError(f"no recurrence within max_iter={max_iter} steps")
+    cols = tower.columns(word)
+    seen = {y0} if verify_pure_cycle else None
+    y = y0
+    for m in range(1, max_iter // length + 1):
+        y = _apply(cols, y)
+        if y == y0:
+            return OrbitReport(M0, length * m)
+        if seen is not None:
+            if y in seen:
+                raise InvariantViolation(
+                    f"orbit fiber walk revisited a non-start vector after {m} steps of F"
+                )
+            seen.add(y)
+    raise GuardError(f"no recurrence within max_iter={max_iter} steps")
 
 
 def trajectory(M0: Matrix, steps: int) -> list[Matrix]:
@@ -162,24 +237,29 @@ def _base_rows(idx: int, n: int) -> int:
 
 def _fiber_cycles(cols: list[int]) -> list[int]:
     """Cycle lengths of the GF(2)-linear map with these columns on all
-    2**len(cols) vectors; InvariantViolation if it is not a bijection."""
+    2**len(cols) vectors; InvariantViolation if it is not a bijection,
+    at the first non-start revisit or, failing that, once a walk takes
+    more steps than there are vectors."""
     image = [0]
     for col in cols:
         image += [w ^ col for w in image]
-    seen = bytearray(len(image))
+    size = len(image)
+    seen = bytearray(size)
     lengths = []
-    for v in range(len(image)):
+    steps = range(1, size + 1)  # built once: most fiber cycles are a few steps long
+    for v in range(size):
         if seen[v]:
             continue
-        w, m = v, 0
-        while True:
+        w = v
+        for m in steps:
             seen[w] = 1
             w = image[w]
-            m += 1
             if w == v:
                 break
             if seen[w]:
                 raise InvariantViolation("fiber walk reached a previously visited non-start vector")
+        else:
+            raise InvariantViolation(f"fiber walk took {size} steps without returning to its start")
         lengths.append(m)
     return lengths
 
@@ -187,16 +267,12 @@ def _fiber_cycles(cols: list[int]) -> list[int]:
 def census(n: int, *, force: bool = False) -> CensusReport:
     """Cycle-length histogram of regularize over all regular n x n matrices.
 
-    Walks the 2**((n-1)**2) base states (rows 0..n-2) with a visited
-    table, each base cycle once.  Over a base state x the last row's
-    off-diagonal bits y move by y -> A_x y: each step i < n-1 adds the
-    updated row i into y when y_i is set.  The unit vectors e_0..e_(n-2)
-    ride along as rows n-1..2n-3 of the word, where regularize_packed
-    gives them exactly that update, so after the L steps of a base cycle
-    they hold the columns of F = A_x(L-1) ... A_x(0) (bit n-1, the last
-    row's diagonal, is masked off).  Each cycle of F of length m on the
-    2**(n-1) last rows adds a cycle of length L*m.  Both walks check
-    that every orbit is a pure cycle.
+    Walks the 2**((n-1)**2) base states (rows 0..n-2) on tower words
+    (see _Tower) with a visited table, each base cycle once; after the
+    L steps of a base cycle the unit rows hold the columns of the
+    composed fiber map F.  Each cycle of F of length m on the 2**(n-1)
+    last rows adds a cycle of length L*m.  Both walks check that every
+    orbit is a pure cycle, and neither walks longer than its table.
 
     Guarded at n <= CENSUS_MAX_N unless force is given, and refused even
     with force where the visited table would pass 2**CENSUS_MAX_TABLE_BITS
@@ -215,27 +291,27 @@ def census(n: int, *, force: bool = False) -> CensusReport:
         raise GuardError(
             f"census above n={CENSUS_MAX_N} enumerates 2**(n*n - n) matrices; pass force to allow"
         )
-    plan = regularize_plan(n, 2 * b, b)
-    units = sum(1 << (b + j) * n + j for j in range(b))
-    mask = (1 << b) - 1
+    tower = _Tower(n)
+    plan, units = tower.plan, tower.units
     histogram: dict[int, int] = {}
     visited = bytearray(1 << (b * b))
-    for start in range(len(visited)):
+    size = len(visited)
+    for start in range(size):
         if visited[start]:
             continue
         word = _base_rows(start, n) | units
         idx = start
-        length = 0
-        while True:
+        for length in range(1, size + 1):
             visited[idx] = 1
             word = regularize_packed(word, plan)
             idx = _base_index(word, n)
-            length += 1
             if idx == start:
                 break
             if visited[idx]:
                 raise InvariantViolation("base walk reached a previously visited non-start state")
-        for m in _fiber_cycles([(word >> (b + j) * n) & mask for j in range(b)]):
+        else:
+            raise InvariantViolation(f"base walk took {size} steps without returning to its start")
+        for m in _fiber_cycles(tower.columns(word)):
             histogram[length * m] = histogram.get(length * m, 0) + length * m
     return CensusReport(n, dict(sorted(histogram.items())), max(histogram))
 

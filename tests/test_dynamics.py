@@ -7,6 +7,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_regular_gf2_matrices, random_regular_gf2
 from seqmat import (
@@ -26,6 +28,7 @@ from seqmat.regularize import regularize_packed
 from test_regularize import _reference_packed
 
 CENSUS_6 = Path(__file__).parent / "data" / "census_6.json"
+BENCH_EXPECTED = Path(__file__).parent.parent / "bench" / "expected.json"
 
 
 def test_phi_identity():
@@ -87,14 +90,34 @@ def _constant_map(image):
     return lambda word, plan: image
 
 
+def _keep_base_rows(word, plan):
+    """The real map on a 3 x 3 tower word, with the unit rows riding
+    along (rows 2..3) zeroed, so the composed fiber map F is singular."""
+    return regularize_packed(word, plan) & 0b111_111
+
+
 def test_orbit_verification_catches_non_injective_map(monkeypatch):
     start = Matrix.of(GF2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    # start -> I -> I -> ...: a rho-shaped orbit that never returns to start.
-    # The word of I holds row k's diagonal bit at k*3 + k.
+    # The base walk sees rows 0..1 only: every step lands on I's base rows
+    # e_0, e_1 (a word's row k holds its diagonal bit at k*3 + k), so
+    # start -> I -> I -> ... is a rho-shaped base walk that never returns.
     monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map(0b100_010_001))
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="base walk revisited"):
         orbit(start, 50, verify_pure_cycle=True)
     # production mode only compares against the start, so it runs out of steps
+    with pytest.raises(GuardError):
+        orbit(start, 50)
+
+
+def test_orbit_fiber_walk_catches_singular_product(monkeypatch):
+    # The start's base rows e_0, e_1 are a fixed point of the real base
+    # map (L_b = 1), but F = 0: the last row's y0 = e_0 goes to 0, which
+    # F fixes, a rho-shaped fiber walk that never returns to y0.
+    start = Matrix.of(GF2, [[1, 0, 0], [0, 1, 0], [1, 0, 1]])
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _keep_base_rows)
+    with pytest.raises(InvariantViolation, match="fiber walk revisited"):
+        orbit(start, 50, verify_pure_cycle=True)
+    # production mode only compares against y0, so it runs out of steps
     with pytest.raises(GuardError):
         orbit(start, 50)
 
@@ -106,19 +129,14 @@ def test_census_base_walk_catches_non_injective_map(monkeypatch):
     # point with an invertible fiber, and state 1 then lands on the
     # visited state 0, which is not its own start.
     monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map(0b010_001_010_001))
-    with pytest.raises(InvariantViolation, match="base walk"):
+    with pytest.raises(InvariantViolation, match="base walk reached a previously visited"):
         census(3)
 
 
 def test_census_fiber_walk_catches_singular_product(monkeypatch):
-    # The real base map, but the fiber rows riding along (rows 2..3 of
-    # the word) are zeroed, so the product F is singular: 0 and e_0 both
-    # map to 0.
-    def collapse(word, plan):
-        return regularize_packed(word, plan) & 0b111_111
-
-    monkeypatch.setattr("seqmat.dynamics.regularize_packed", collapse)
-    with pytest.raises(InvariantViolation, match="fiber walk"):
+    # The real base map, but F = 0: 0 and e_0 both map to 0.
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _keep_base_rows)
+    with pytest.raises(InvariantViolation, match="fiber walk reached a previously visited"):
         census(3)
 
 
@@ -147,6 +165,73 @@ def test_bundled_seed_matrix_shape():
 
 def test_bundled_seed_cycle_length():
     assert orbit(load_orbit_seed()).cycle_length == 13122
+
+
+def test_orbit_max_iter_boundary_on_seed(monkeypatch):
+    # The seed's base cycle has L_b = 4374 steps and its last row needs
+    # m = 3 turns of F: orbit returns exactly when 13122 <= max_iter, also
+    # where the base walk alone would fit.
+    seed = load_orbit_seed()
+    steps = []
+
+    def counted(word, plan):
+        steps.append(1)
+        return regularize_packed(word, plan)
+
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", counted)
+    for verify in (False, True):
+        assert orbit(seed, 13122, verify_pure_cycle=verify).cycle_length == 13122
+        for max_iter in (13121, 8748, 4374, 4373, 100):
+            steps.clear()
+            with pytest.raises(GuardError, match=f"max_iter={max_iter} steps"):
+                orbit(seed, max_iter, verify_pure_cycle=verify)
+            # the base walk takes at most max_iter steps
+            assert len(steps) == min(max_iter, 4374)
+
+
+# -- the tower orbit against a plain full-step walk --------------------------------
+
+
+def _plain_orbit(M):
+    """Reference cycle length: full steps of _reference_packed on tuple
+    rows until the start recurs, asserting that no other matrix repeats."""
+    start = tuple(sum(x << t for t, x in enumerate(row)) for row in M.rows)
+    seen = {start}
+    rows = _reference_packed(start, M.n)
+    while rows != start:
+        assert rows not in seen
+        seen.add(rows)
+        rows = _reference_packed(rows, M.n)
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_matches_plain_walk_exhaustive(n):
+    for M in all_regular_gf2_matrices(n):
+        length = _plain_orbit(M)
+        assert orbit(M).cycle_length == length
+        assert orbit(M, verify_pure_cycle=True).cycle_length == length
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(5, 12), seed=st.integers(0, 2**32 - 1))
+def test_orbit_matches_plain_walk_random(n, seed):
+    M = random_regular_gf2(random.Random(seed), n)
+    length = _plain_orbit(M)
+    assert orbit(M).cycle_length == length
+    assert orbit(M, verify_pure_cycle=True).cycle_length == length
+
+
+def test_orbit_matches_pinned_bench_orbits():
+    # The 200 reference cycles (n = 8..12) the benchmark checks orbit against.
+    refs = json.loads(BENCH_EXPECTED.read_text())["orbits"]
+    assert len(refs) == 200
+    for ref in refs:
+        n = ref["n"]
+        rows = [int(h, 16) for h in ref["rows"]]
+        M = Matrix.of(GF2, [[(r >> t) & 1 for t in range(n)] for r in rows])
+        assert orbit(M).cycle_length == ref["length"]
+        assert orbit(M, verify_pure_cycle=True).cycle_length == ref["length"]
 
 
 # -- trajectories ----------------------------------------------------------------

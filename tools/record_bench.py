@@ -19,7 +19,14 @@ baseline, per metric, the ratio of the medians and in how many seed
 pairs this checkout read better, the direction coming from
 BENCHMARK.json.  It records the Python version, nproc, the CPU model and
 each checkout's git SHA, with "dirty" set when its working tree differs
-from that commit.  Standard library only.
+from that commit.  Last, per checkout and workload, it runs
+
+    python3 bench/run.py --workload W --seed S --seconds 20 --trace 1
+
+once, S being the first of --seeds, and records that run's per-layer
+metrics (call counts and self time per span, counters, tracing
+overhead) under "traced".
+Standard library only.
 """
 
 from __future__ import annotations
@@ -57,13 +64,13 @@ def cpu_model() -> str:
     return platform.processor() or platform.machine()
 
 
-def run_bench(repo: Path, workload: str, seed: int) -> dict:
+def run_bench(repo: Path, workload: str, seed: int, trace: int = 0) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=repo, capture_output=True, text=True)
     if done.returncode != 0:
-        sys.exit(f"error: bench/run.py --workload {workload} --seed {seed} exited "
-                 f"{done.returncode}: {done.stderr.strip()}")
+        sys.exit(f"error: bench/run.py --workload {workload} --seed {seed} --trace {trace} "
+                 f"exited {done.returncode}: {done.stderr.strip()}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {
         "seed": seed,
@@ -136,6 +143,8 @@ def main() -> int:
             entry[side] = {"summary": summary(side_runs), "runs": side_runs}
         if "baseline" in runs:
             entry["compare"] = compare(runs["this"], runs["baseline"], better)
+        entry["traced"] = {side: run_bench(repo, workload, args.seeds[0], trace=1)
+                           for side, repo in sides.items()}
         record["workloads"][workload] = entry
 
     short = (record["checkouts"]["this"]["sha"] or "unknown")[:7]
