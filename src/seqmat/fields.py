@@ -192,10 +192,7 @@ class FieldSpec:
         try:
             return str(v)
         except ValueError:
-            raise GuardError(
-                "a result coefficient has more than "
-                f"{sys.get_int_max_str_digits()} digits, Python's int-to-text limit"
-            ) from None
+            raise digit_limit_error() from None
 
 
 GF2 = FieldSpec(FieldKind.GF2, 2)
@@ -207,6 +204,15 @@ def gfp(p: int) -> FieldSpec:
     if p == 2:
         return GF2
     return FieldSpec(FieldKind.GFP, p)
+
+
+def digit_limit_error() -> GuardError:
+    """The error for a value whose text passes Python's int-to-text limit
+    (str raises ValueError on it); every formatter raises this one."""
+    return GuardError(
+        "a result coefficient has more than "
+        f"{sys.get_int_max_str_digits()} digits, Python's int-to-text limit"
+    )
 
 
 def parse_int(token: str, what: str) -> int:

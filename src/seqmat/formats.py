@@ -14,12 +14,23 @@ Program listings print one assignment per line as
     x<i> := <c1>*x1 + ... + <cn>*xn
 with zero terms omitted, coefficient 1 omitted, -1 rendered as a bare
 sign, and "x<i> := 0" for an all-zero row.  Indices are 1-based.
+
+Text is converted a row at a time.  Over GF(p) an entry line is checked
+by one regular expression and read by int() per token; a line it
+refuses, or a token past int()'s digit limit, goes token by token
+through FieldSpec.parse_scalar, whose ParseError names the bad token.
+A program step prints as one join of its terms, and a matrix body as
+one join per row (Matrix.body_text, which prints one-digit residues
+through one bytes.translate).  Text past Python's int-to-text limit
+raises fields.digit_limit_error, the same GuardError everywhere.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
-from .fields import FieldSpec, field_parse, parse_int
+from .fields import FieldSpec, digit_limit_error, field_parse, parse_int
 from .matrix import Matrix, StraightLineProgram, Vector
 from .sequentialize import InSituCoding, PermCoding
 
@@ -41,10 +52,21 @@ def _parse_header(lines: list[str]) -> tuple[FieldSpec, int]:
     return field, n
 
 
+#: A whole line of the integer literals FieldSpec.parse_scalar reads over
+#: GF(p), separated by the whitespace str.split splits on.
+_INT_LINE_RE = re.compile(r"[+-]?\d+(?:\s+[+-]?\d+)*")
+
+
 def _parse_entry_line(field: FieldSpec, n: int, line: str) -> tuple:
     tokens = line.split()
     if len(tokens) != n:
         raise ParseError(f"expected {n} entries, got {len(tokens)}: {line!r}")
+    p = field.modulus
+    if p is not None and _INT_LINE_RE.fullmatch(line):
+        try:
+            return tuple([int(tok) % p for tok in tokens])
+        except ValueError:  # more digits than int() accepts; parse_scalar says so
+            pass
     return tuple(field.parse_scalar(tok) for tok in tokens)
 
 
@@ -73,29 +95,21 @@ def format_vector(X: Vector) -> str:
     return f"{X.field.describe()}\nn {len(X)}\n{X}\n"
 
 
-def _format_linear(field: FieldSpec, coeffs) -> str:
-    terms = []
-    for j, c in enumerate(coeffs, start=1):
-        if not c:
-            continue
-        negative = c < 0  # canonical residues are never negative
-        a = -c if negative else c
-        body = f"x{j}" if a == field.one else f"{field.format_scalar(a)}*x{j}"
-        terms.append((negative, body))
-    if not terms:
-        return "0"
-    first_neg, first = terms[0]
-    pieces = [("-" if first_neg else "") + first]
-    for negative, body in terms[1:]:
-        pieces.append((" - " if negative else " + ") + body)
-    return "".join(pieces)
+def _format_linear(coeffs, names: list[str]) -> str:
+    # A negative coefficient prints with its sign, so " + -" becomes " - ";
+    # no term holds " + -" itself.
+    terms = [name if c == 1 else "-" + name if c == -1 else f"{c}*{name}"
+             for c, name in zip(coeffs, names) if c]
+    return " + ".join(terms).replace(" + -", " - ") or "0"
 
 
 def format_program(P: StraightLineProgram) -> str:
-    lines = [
-        f"x{step.target + 1} := {_format_linear(P.field, step.coeffs.entries)}"
-        for step in P.steps
-    ]
+    names = [f"x{j}" for j in range(1, P.n + 1)]
+    try:
+        lines = [f"{names[step.target]} := {_format_linear(step.coeffs.entries, names)}"
+                 for step in P.steps]
+    except ValueError:
+        raise digit_limit_error() from None
     return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -21,11 +21,18 @@ row sum_t c_t * row_t (combine):
   pivot row minus its diagonal bit.  Placed side by side, row k at bit
   k*n, the rows make the matrix's word (pack_gf2_rows), on which the
   regularize module runs the update for all rows of a step at once.
+  Rows and words are packed and read through their base-2 text, one
+  bytes.translate between entry bytes and digits.
 * GF(p), p odd: row k is one int of n slots, entry (k, t) in slot t
   (Kronecker substitution).  A term c * row is one big-int multiply-add
-  over the whole row.  A slot has (n*p*p).bit_length() bits, rounded up
-  to whole bytes, and never carries into the next as long as its value
-  stays below n*p*p.  combine sums at most n terms of c*v <= (p-1)**2
+  over the whole row.  A slot is the smallest unsigned array item (of
+  1, 2, 4 or 8 bytes) that holds (n*p*p).bit_length() bits or, past 64
+  bits, a whole number k of 8-byte words (p = 2**63 - 25 takes k = 3
+  from n = 5), so a row packs from an array of its entries in one
+  int.from_bytes and reads back as one array of its slots; a k-word slot
+  is reduced by Horner's rule over its words, 2**64 taken mod p.  A
+  slot never carries into the next as long as its value stays below
+  n*p*p.  combine sums at most n terms of c*v <= (p-1)**2
   over rows of reduced slots (v < p) and reduces the sum slot by slot,
   so its rows stay reduced.  The substitution update leaves slots
   unreduced, each holding an entry below p plus at most n-1 updates of
@@ -44,12 +51,29 @@ row sum_t c_t * row_t (combine):
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, PreconditionError
-from .fields import GF2, FieldSpec, Scalar
+from .fields import GF2, FieldSpec, Scalar, digit_limit_error
+
+# Entries 0..9 as bytes, to and from their digits: the text codec of the
+# one-digit fields (Matrix.body_text) and of GF(2) rows and words.
+_TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _bits_to_int(entries) -> int:
+    """The int whose bit t is entries[t], each 0 or 1."""
+    return int(bytes(entries)[::-1].translate(_TO_DIGITS), 2)
+
+
+def _int_to_bits(word: int, width: int) -> bytes:
+    """Bits 0 .. width - 1 of word as bytes 0 or 1, bit t at index t."""
+    return format(word, f"0{width}b")[::-1].encode().translate(_FROM_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -115,8 +139,18 @@ class Matrix:
         return self.rows[i][j]
 
     def body_text(self) -> str:
-        fmt = self.field.format_scalar
-        return "\n".join(" ".join(fmt(v) for v in row) for row in self.rows)
+        p, n = self.field.modulus, self.n
+        if p is not None and p <= 10:
+            # One digit per entry: the entries go to every other byte of a
+            # buffer of separators, which is then translated to digits.
+            text = bytearray(b" ") * (2 * n * n)
+            text[::2] = b"".join(map(bytes, self.rows))
+            text[2 * n - 1::2 * n] = b"\n" * n
+            return text[:-1].translate(_TO_DIGITS).decode()
+        try:
+            return "\n".join([" ".join(map(str, row)) for row in self.rows])
+        except ValueError:
+            raise digit_limit_error() from None
 
     def __str__(self) -> str:
         return self.body_text()
@@ -258,26 +292,27 @@ def seq_equivalent(M: Matrix, W: Matrix) -> bool:
 
 # -- GF(2) words ------------------------------------------------------------
 
-# A word is read and written as its base-2 text, entry (0, 0) last; these
-# translate the entry bytes 0 and 1 to and from that text.
-_TO_TEXT = bytes.maketrans(b"\0\1", b"01")
-_FROM_TEXT = bytes.maketrans(b"01", b"\0\1")
-
 
 def pack_gf2_rows(M: Matrix) -> int:
     """M as one int, its word: bit k*n + t holds entry (k, t), so row k is
     bits k*n .. k*n + n - 1 (the GF(2) backend's rows, side by side)."""
     require_gf2(M, "bit packing")
-    return int(b"".join(bytes(row[::-1]) for row in reversed(M.rows)).translate(_TO_TEXT), 2)
+    return _bits_to_int(b"".join(map(bytes, M.rows)))
 
 
 def unpack_gf2_rows(word: int, n: int) -> Matrix:
     """The n x n matrix of a word."""
-    raw = format(word, f"0{n * n}b")[::-1].encode().translate(_FROM_TEXT)
+    raw = _int_to_bits(word, n * n)
     return Matrix(GF2, tuple(tuple(raw[k * n:k * n + n]) for k in range(n)))
 
 
 # -- packed row backends (see the module docstring) ---------------------------------
+
+
+#: Unsigned array typecodes by item size in bytes, ascending (C's integer
+#: types never shrink from char to long long): the slot types of _GFpRows.
+_SLOT_TYPES = {array(code).itemsize: code for code in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class _PackedRows:
@@ -300,13 +335,10 @@ class _PackedRows:
 
 
 class _GF2Rows(_PackedRows):
-    @staticmethod
-    def _pack(entries) -> int:
-        return sum(1 << t for t, v in enumerate(entries) if v)
+    _pack = staticmethod(_bits_to_int)
 
     def read(self, i: int) -> list:
-        r = self.rows[i]
-        return [(r >> t) & 1 for t in range(self.n)]
+        return list(_int_to_bits(self.rows[i], self.n))
 
     def coeff(self, k: int, i: int) -> int:
         return (self.rows[k] >> i) & 1
@@ -331,24 +363,45 @@ class _GF2Rows(_PackedRows):
 class _GFpRows(_PackedRows):
     def __init__(self, M: Matrix) -> None:
         p = self.p = M.field.modulus
-        self.size = -(-(M.n * p * p).bit_length() // 8)
-        self.mask = (1 << 8 * self.size) - 1
+        need = -(-(M.n * p * p).bit_length() // 8)
+        size = next((s for s in _SLOT_TYPES if s >= need), 8 * -(-need // 8))
+        self.code = _SLOT_TYPES.get(size, "Q")
+        self.words, self.word_mod = -(-size // 8), (1 << 64) % p
+        self.bits, self.nbytes = 8 * size, M.n * size
+        self.mask = (1 << self.bits) - 1
         super().__init__(M)
 
     def _pack(self, entries) -> int:
-        size = self.size
-        return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in entries]), "little")
+        k = self.words
+        if k == 1:
+            items = array(self.code, entries)
+        else:
+            items = array(self.code, bytes(self.nbytes))
+            items[::k] = array(self.code, entries)
+        if _BIG_ENDIAN:
+            items.byteswap()
+        return int.from_bytes(items, "little")
 
     def _reduce(self, packed: int) -> list:
-        size, p, from_bytes = self.size, self.p, int.from_bytes
-        raw = packed.to_bytes(self.n * size, "little")
-        return [from_bytes(raw[o:o + size], "little") % p for o in range(0, len(raw), size)]
+        items = array(self.code, packed.to_bytes(self.nbytes, "little"))
+        if _BIG_ENDIAN:
+            items.byteswap()
+        k, p = self.words, self.p
+        if k == 1:
+            return [v % p for v in items]
+        # A slot of k words, low word first, by Horner's rule from its high
+        # word, with 2**64 taken mod p.
+        r = self.word_mod
+        slots = items[k - 1::k]
+        for j in range(k - 2, 0, -1):
+            slots = [v * r + w for v, w in zip(slots, items[j::k])]
+        return [(v * r + w) % p for v, w in zip(slots, items[::k])]
 
     def read(self, i: int) -> list:
         return self._reduce(self.rows[i])
 
     def coeff(self, k: int, i: int) -> int:
-        return ((self.rows[k] >> (8 * self.size * i)) & self.mask) % self.p
+        return ((self.rows[k] >> (self.bits * i)) & self.mask) % self.p
 
     def combine(self, coeffs) -> int:
         # The rows must be reduced (see the module docstring).
@@ -365,7 +418,7 @@ class _GFpRows(_PackedRows):
         base = [-v % p for v in row]
         base[i] = (1 - pivot) % p
         packed = self._pack(base)
-        shift, mask, rows = 8 * self.size * i, self.mask, self.rows
+        shift, mask, rows = self.bits * i, self.mask, self.rows
         for k in range(i + 1, self.n):
             c = ((rows[k] >> shift) & mask) % p
             if c:

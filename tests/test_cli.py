@@ -264,6 +264,25 @@ def test_closed_stdin_exits_one(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: standard input is closed\n")
 
 
+#: n = 12 inputs over GF(2), GF(7), GF(2^31-1), GF(2^63-25) and Q, each with
+#: the outputs of COMPILE_COMMANDS in turn, as the entrywise codecs printed
+#: them; CI diffs the same files on Python 3.10-3.12.
+COMPILE_GOLDEN = Path(__file__).parent / "data" / "compile_golden"
+COMPILE_COMMANDS = (("sequentialize",), ("sequentialize", "--method", "perm"), ("smatrix",),
+                    ("program",))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in COMPILE_GOLDEN.glob("*.txt")))
+def test_compile_golden_outputs(capsys, name):
+    src = str(COMPILE_GOLDEN / f"{name}.txt")
+    out = ""
+    for command in COMPILE_COMMANDS:
+        code, text, err = run(capsys, *command, src)
+        assert (code, err) == (0, ""), command
+        out += text
+    assert out == (COMPILE_GOLDEN / f"{name}.out").read_text()
+
+
 def test_digit_limit_exits_one(capsys, tmp_path):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:

@@ -1,9 +1,12 @@
 """Text formats: bit-exact round trips and fixed renderings."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIELDS, GF7, random_matrix, random_vector
 from seqmat import (
@@ -19,11 +22,12 @@ from seqmat import (
     format_matrix,
     format_program,
     format_vector,
+    gfp,
     parse_coding,
     parse_matrix,
     parse_vector,
 )
-from seqmat.errors import ParseError, PreconditionError
+from seqmat.errors import GuardError, ParseError, PreconditionError
 
 
 def test_matrix_round_trip_random():
@@ -183,3 +187,119 @@ def test_coding_validation():
         InSituCoding.from_one_based(I2, [3, 0])  # out of range
     with pytest.raises(PreconditionError):
         PermCoding.from_one_based(I2, [1, 1])
+
+
+# -- whole-row codecs against the entrywise references ---------------------------
+
+#: GF(2), small odd primes, a 31-bit and a 63-bit prime, and Q.
+CODEC_FIELDS = (GF2, gfp(3), GF7, gfp(2**31 - 1), gfp(2**63 - 25), RATIONAL)
+
+
+def _reference_format_linear(field, coeffs):
+    # One format_scalar call and one string per term, the sign of each
+    # term printed apart from its magnitude.
+    terms = []
+    for j, c in enumerate(coeffs, start=1):
+        if not c:
+            continue
+        negative = c < 0  # canonical residues are never negative
+        a = -c if negative else c
+        body = f"x{j}" if a == field.one else f"{field.format_scalar(a)}*x{j}"
+        terms.append((negative, body))
+    if not terms:
+        return "0"
+    first_neg, first = terms[0]
+    pieces = [("-" if first_neg else "") + first]
+    for negative, body in terms[1:]:
+        pieces.append((" - " if negative else " + ") + body)
+    return "".join(pieces)
+
+
+def _reference_format_program(P):
+    lines = [f"x{s.target + 1} := {_reference_format_linear(P.field, s.coeffs.entries)}"
+             for s in P.steps]
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def _random_coefficient(rng, field):
+    p = field.modulus
+    if p is not None:
+        return rng.choice((0, 1, p - 1, rng.randrange(p)))
+    return rng.choice((Fraction(0), Fraction(1), Fraction(-1),
+                       Fraction(-rng.randint(1, 99), rng.randint(2, 99)),
+                       Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**20))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    field=st.sampled_from(CODEC_FIELDS),
+    n=st.one_of(st.integers(1, 8), st.integers(101, 140)),
+    density=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_format_program_matches_entrywise_reference(field, n, density, seed):
+    rng = random.Random(seed)
+    steps = []
+    for _ in range(rng.randint(0, 6)):
+        # Some rows are all zero, whatever the density.
+        d = density if rng.random() < 0.8 else 0.0
+        coeffs = [_random_coefficient(rng, field) if rng.random() < d else field.zero
+                  for _ in range(n)]
+        steps.append(Assignment(rng.randrange(n), Vector.of(field, coeffs)))
+    P = StraightLineProgram(field, n, tuple(steps))
+    assert format_program(P) == _reference_format_program(P)
+
+
+def test_format_program_digit_limit_message():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int/str digit limit")
+    big = Fraction(10**limit, 3)
+    P = _program(RATIONAL, 2, (0, [1, -big]))
+    with pytest.raises(GuardError) as caught:
+        format_program(P)
+    with pytest.raises(GuardError) as expected:
+        RATIONAL.format_scalar(big)
+    assert str(caught.value) == str(expected.value)
+
+
+#: Tokens for the parse differential: plain and signed integers, ones
+#: parse_scalar refuses ("--1", "²", "1_0", "1.5", "x"), an Arabic-Indic
+#: digit that int() reads, fractions, and a 5000-digit token, which int()
+#: refuses past its digit limit.
+PARSE_TOKENS = ("0", "1", "6", "-1", "+1", "--1", "+-1", "²", "٣", "1٣", "1_0", "1.5", "x",
+                "007", "-0", "3/4", "-5/6", "1/0", "2147483646", "9223372036854775782",
+                "18446744073709551616", "7" * 5000)
+
+
+def _parse_outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def _reference_parse_line(field, line):
+    return tuple(field.parse_scalar(tok) for tok in line.split())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(CODEC_FIELDS),
+    tokens=st.lists(st.sampled_from(PARSE_TOKENS), min_size=1, max_size=6),
+    seps=st.lists(st.sampled_from((" ", "  ", "\t", " \t ", "　")), min_size=6, max_size=6),
+)
+def test_parse_line_matches_per_token_reference(field, tokens, seps):
+    line = tokens[0] + "".join(sep + tok for sep, tok in zip(seps, tokens[1:]))
+    text = f"{field.describe()}\nn {len(tokens)}\n{line}\n"
+    got = _parse_outcome(lambda: parse_vector(text).entries)
+    assert got == _parse_outcome(_reference_parse_line, field, line.strip())
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_body_text_matches_str_join(p):
+    rng = random.Random(p)
+    field = gfp(p)
+    for n in (1, 2, 3, 9, 10, 11, 40):
+        M = random_matrix(rng, field, n)
+        assert M.body_text() == "\n".join(" ".join(map(str, row)) for row in M.rows)

@@ -31,6 +31,7 @@ from seqmat import (
     unpack_gf2_rows,
 )
 from seqmat.errors import DimensionMismatchError, FieldMismatchError, PreconditionError
+from test_eliminate import _check_all_policies
 
 M3 = Matrix.of(RATIONAL, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
 
@@ -293,17 +294,53 @@ def test_gfp_symbolic_matches_entrywise_reference(p, n, density, kind, seed):
 
 
 def test_gfp_symbolic_largest_slot_sums():
+    for p in SYMBOLIC_PRIMES:
+        for n in (1, 2, 17, 40):
+            P = _largest_slot_sums(gfp(p), n)
+            assert program_symbolic(P).rows == _reference_symbolic_gfp(P).rows
+
+
+def _largest_slot_sums(field, n):
     # The first n steps make every row of C all p-1; the last one then sums
     # n terms of (p-1)*(p-1) into every slot, the most a slot must hold.
-    for p in SYMBOLIC_PRIMES:
-        field = gfp(p)
-        for n in (1, 2, 17, 40):
-            top, copy = [p - 1] * n, [1] + [0] * (n - 1)
-            steps = [step(field, 0, top)]
-            steps += [step(field, t, copy) for t in range(1, n)]
-            steps.append(step(field, 0, top))
-            P = StraightLineProgram(field, n, tuple(steps))
+    top, copy = [field.modulus - 1] * n, [1] + [0] * (n - 1)
+    steps = [step(field, 0, top)]
+    steps += [step(field, t, copy) for t in range(1, n)]
+    steps.append(step(field, 0, top))
+    return StraightLineProgram(field, n, tuple(steps))
+
+
+#: For each slot edge B (in bits), a prime p and the largest n with n*p*p
+#: below 2**B: n rows fit a B-bit slot, and n + 1 rows need the next array
+#: item or, past 64 bits, one more 8-byte word (p = 2**63 - 25 takes three
+#: words from n = 5).  (n + 1)*(p - 1)**2 is at least 2**B, so the largest
+#: slot sums at n + 1 overflow a B-bit slot.  No n*p*p crosses 192 bits
+#: below n = 2**66, so three words are the widest slot.
+SLOT_EDGES = {8: (11, 2), 16: (73, 12), 32: (18917, 12), 64: (1239850223, 12),
+              128: (2**63 - 25, 4)}
+
+
+@pytest.mark.parametrize("bits", sorted(SLOT_EDGES))
+def test_gfp_slot_edges_match_entrywise_references(bits):
+    # Mutation check: with every slot one array item narrower (one word
+    # fewer past 64 bits), where a narrower one exists, this test fails at
+    # every edge.  Only little-endian machines have run it; the big-endian
+    # byte swaps in the GF(p) backend are unverified.
+    p, fit = SLOT_EDGES[bits]
+    field = gfp(p)
+    rng = random.Random(bits)
+    for n in (fit, fit + 1):
+        assert (n * p * p).bit_length() == bits + n - fit
+        assert (n * (p - 1) ** 2).bit_length() > bits or n == fit
+        units = tuple(_random_gfp_row(rng, p, n, 1.0))
+        for M in (Matrix.of(field, [[p - 1] * n] * n),
+                  Matrix.of(field, [_random_gfp_row(rng, p, n, 1.0) for _ in range(n)]),
+                  Matrix.of(field, [_random_gfp_row(rng, p, n, 0.5) for _ in range(n)])):
+            _check_all_policies(M, units)
+            P = seq_program(M)
             assert program_symbolic(P).rows == _reference_symbolic_gfp(P).rows
+        P = _largest_slot_sums(field, n)
+        assert program_symbolic(P).rows == _reference_symbolic_gfp(P).rows
 
 
 def test_oracle_identity_random():

@@ -1,4 +1,4 @@
-"""Record benchmark runs in BENCH_<short-sha>.json.
+"""Record benchmark runs in BENCH_<short-sha>[-dirty].json.
 
 Usage (from the repository root):
 
@@ -13,7 +13,9 @@ in this checkout.  With --baseline it runs the same command in a second
 checkout as well (for example a clone of the parent commit), and the
 two alternate which runs first from one seed to the next.  It writes
 BENCH_<short-sha>.json in the repository root, short-sha naming this
-checkout's HEAD.  The file holds, per checkout and workload, every run's
+checkout's HEAD, or BENCH_<short-sha>-dirty.json when this checkout's
+working tree differs from HEAD (a change measured before it is
+committed).  The file holds, per checkout and workload, every run's
 end-to-end metrics and each metric's median and quartiles; with a
 baseline, per metric, the ratio of the medians and in how many seed
 pairs this checkout read better, the direction coming from
@@ -147,8 +149,9 @@ def main() -> int:
                            for side, repo in sides.items()}
         record["workloads"][workload] = entry
 
-    short = (record["checkouts"]["this"]["sha"] or "unknown")[:7]
-    out = ROOT / f"BENCH_{short}.json"
+    this = record["checkouts"]["this"]
+    short = (this["sha"] or "unknown")[:7]
+    out = ROOT / f"BENCH_{short}{'-dirty' if this['dirty'] else ''}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out.name}")
     return 0
