@@ -17,14 +17,17 @@ Both walk base cycles with the unit vectors of the last row riding along
 linear map F, and each cycle of F of length m on the 2**(n-1) last rows
 is a cycle of length L*m of the full map.  orbit walks the one base
 cycle through its start and then the start's last row under F; census
-walks every base cycle and every cycle of each F.  trajectory, which
-returns every matrix, takes plain full steps.
+walks every base cycle and every cycle of each F.  census reads base
+states through two lookup tables per direction (word -> index and
+index -> word, each split into a low and a high half of its bits), and
+walks the cycles of each distinct F once: many base cycles compose the
+same F (976 distinct maps over the 21,616 base cycles at n = 5).
+trajectory, which returns every matrix, takes plain full steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 from .errors import GuardError, InvariantViolation, PreconditionError
 from .matrix import (
@@ -235,7 +238,18 @@ def _base_rows(idx: int, n: int) -> int:
     return word
 
 
-def _fiber_cycles(cols: list[int]) -> list[int]:
+def _halves(fn, n: int, bits: int) -> tuple[list[int], list[int], int]:
+    """fn(v, n) for v < 2**bits as two lists low, high and a shift half:
+    fn(v, n) == low[v & (len(low) - 1)] | high[v >> half].  This holds
+    because fn moves each bit of v on its own (and _base_rows adds the
+    same diagonal bits to every word)."""
+    half = bits // 2
+    low = [fn(v, n) for v in range(1 << half)]
+    high = [fn(v << half, n) for v in range(1 << bits - half)]
+    return low, high, half
+
+
+def _fiber_cycles(cols: list[int]) -> tuple[int, ...]:
     """Cycle lengths of the GF(2)-linear map with these columns on all
     2**len(cols) vectors; InvariantViolation if it is not a bijection,
     at the first non-start revisit or, failing that, once a walk takes
@@ -261,18 +275,25 @@ def _fiber_cycles(cols: list[int]) -> list[int]:
         else:
             raise InvariantViolation(f"fiber walk took {size} steps without returning to its start")
         lengths.append(m)
-    return lengths
+    return tuple(lengths)
 
 
 def census(n: int, *, force: bool = False) -> CensusReport:
     """Cycle-length histogram of regularize over all regular n x n matrices.
 
     Walks the 2**((n-1)**2) base states (rows 0..n-2) on tower words
-    (see _Tower) with a visited table, each base cycle once; after the
-    L steps of a base cycle the unit rows hold the columns of the
-    composed fiber map F.  Each cycle of F of length m on the 2**(n-1)
-    last rows adds a cycle of length L*m.  Both walks check that every
-    orbit is a pure cycle, and neither walks longer than its table.
+    (see _Tower) with a visited table, each base cycle once, finding the
+    next unvisited start with bytearray.find; after the L steps of a
+    base cycle the unit rows hold the columns of the composed fiber map
+    F.  Each cycle of F of length m on the 2**(n-1) last rows adds a
+    cycle of length L*m.  Both walks check that every orbit is a pure
+    cycle, and neither walks longer than its table.
+
+    A base state's index is read from a word, and a start word built
+    from an index, through the two half tables of _halves.  The cycle
+    lengths of F are kept per call, keyed by F's columns, so each
+    distinct F is walked (and checked) once; a later base cycle with the
+    same F reuses them.
 
     Guarded at n <= CENSUS_MAX_N unless force is given, and refused even
     with force where the visited table would pass 2**CENSUS_MAX_TABLE_BITS
@@ -293,31 +314,45 @@ def census(n: int, *, force: bool = False) -> CensusReport:
         )
     tower = _Tower(n)
     plan, units = tower.plan, tower.units
+    index_low, index_high, index_half = _halves(_base_index, n, b * n)
+    low_mask, high_mask = len(index_low) - 1, len(index_high) - 1
+    rows_low, rows_high, rows_half = _halves(_base_rows, n, b * b)
+    rows_mask = len(rows_low) - 1
+    # F's columns in place in the unit rows, without bit n-1 of each row
+    col_shift, col_mask = b * n, sum(tower.last << j * n for j in range(b))
+    fibers: dict[int, tuple[int, ...]] = {}
     histogram: dict[int, int] = {}
     visited = bytearray(1 << (b * b))
     size = len(visited)
-    for start in range(size):
-        if visited[start]:
-            continue
-        word = _base_rows(start, n) | units
+    steps = range(1, size + 1)
+    start = 0
+    while start >= 0:
+        word = rows_low[start & rows_mask] | rows_high[start >> rows_half] | units
         idx = start
-        for length in range(1, size + 1):
+        for length in steps:
             visited[idx] = 1
             word = regularize_packed(word, plan)
-            idx = _base_index(word, n)
+            idx = index_low[word & low_mask] | index_high[(word >> index_half) & high_mask]
             if idx == start:
                 break
             if visited[idx]:
                 raise InvariantViolation("base walk reached a previously visited non-start state")
         else:
             raise InvariantViolation(f"base walk took {size} steps without returning to its start")
-        for m in _fiber_cycles(tower.columns(word)):
+        key = (word >> col_shift) & col_mask
+        cycles = fibers.get(key)
+        if cycles is None:
+            cycles = fibers[key] = _fiber_cycles(tower.columns(word))
+        for m in cycles:
             histogram[length * m] = histogram.get(length * m, 0) + length * m
+        start = visited.find(0, start + 1)
     return CensusReport(n, dict(sorted(histogram.items())), max(histogram))
 
 
 def load_orbit_seed() -> Matrix:
     """The bundled regular 10 x 10 matrix whose orbit is a long known cycle."""
+    from importlib import resources
+
     from .formats import parse_matrix
 
     text = resources.files("seqmat").joinpath("data/orbit_seed_10.txt").read_text()

@@ -23,12 +23,17 @@ from seqmat import (
     regularize,
     trajectory,
 )
+from seqmat.dynamics import _base_index, _base_rows, _fiber_cycles, _halves
 from seqmat.errors import GuardError, InvariantViolation, PreconditionError
 from seqmat.regularize import regularize_packed
 from test_regularize import _reference_packed
 
 CENSUS_6 = Path(__file__).parent / "data" / "census_6.json"
 BENCH_EXPECTED = Path(__file__).parent.parent / "bench" / "expected.json"
+CENSUS_5_HISTOGRAM = {
+    1: 15920, 2: 144496, 3: 22656, 4: 144672, 6: 250752, 8: 58624, 9: 1584,
+    12: 148704, 16: 9216, 18: 161712, 24: 24576, 36: 38016, 54: 27648,
+}
 
 
 def test_phi_identity():
@@ -391,12 +396,52 @@ def test_census_force_refuses_past_table_cap(n):
     _assert_refused_cheaply(n, True)
 
 
+def _check_census_tables(n, indices):
+    # census reads both directions of the base index layout as
+    # low[v & mask] | high[v >> half]; they must agree with the reference
+    # functions, and a tower word's unit rows (above the base bits) must
+    # not reach the index.
+    b = n - 1
+    index_low, index_high, index_half = _halves(_base_index, n, b * n)
+    rows_low, rows_high, rows_half = _halves(_base_rows, n, b * b)
+    assert len(index_low) * len(index_high) == 1 << b * n
+    assert len(rows_low) * len(rows_high) == 1 << b * b
+    high_mask = len(index_high) - 1
+    junk = random.Random(n).getrandbits(2 * b * n) << b * n
+    for idx in indices:
+        word = rows_low[idx & len(rows_low) - 1] | rows_high[idx >> rows_half]
+        assert word == _base_rows(idx, n)
+        for w in (word, word | junk):
+            got = index_low[w & len(index_low) - 1] | index_high[(w >> index_half) & high_mask]
+            assert got == _base_index(w, n) == idx
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_census_tables_match_reference_exhaustive(n):
+    _check_census_tables(n, range(1 << (n - 1) ** 2))
+
+
+def test_census_tables_match_reference_random_n6():
+    rng = random.Random(66)
+    _check_census_tables(6, [rng.getrandbits(25) for _ in range(10_000)])
+
+
+def test_census_walks_each_distinct_fiber_map_once(monkeypatch):
+    seen = []
+
+    def counted(cols):
+        seen.append(tuple(cols))
+        return _fiber_cycles(cols)
+
+    monkeypatch.setattr("seqmat.dynamics._fiber_cycles", counted)
+    report = census(5)
+    assert len(seen) == len(set(seen)) == 976
+    assert report.histogram == CENSUS_5_HISTOGRAM
+
+
 def test_census_n5_guard_boundary():
     report = census(5)
-    assert report.histogram == {
-        1: 15920, 2: 144496, 3: 22656, 4: 144672, 6: 250752, 8: 58624, 9: 1584,
-        12: 148704, 16: 9216, 18: 161712, 24: 24576, 36: 38016, 54: 27648,
-    }
+    assert report.histogram == CENSUS_5_HISTOGRAM
     assert report.max_cycle_length == 54
     assert report.matrix_count == 1 << 20
 
