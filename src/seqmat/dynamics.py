@@ -9,19 +9,17 @@ a time (orbit) or for the whole space of regular n x n matrices
 (pack_gf2_rows), one regularize_packed call per step.
 
 orbit and census both use the tower structure of the map.  Rows 0..k of
-regularize(M) depend only on rows 0..k of M, so the map on whole
-matrices is a skew product over the base map on rows 0..n-2, and the
-last row moves by a GF(2)-linear map A_x chosen by the base state x.
-Both walk base cycles with the unit vectors of the last row riding along
-(_Tower); along a base cycle of length L the fiber maps compose to one
-linear map F, and each cycle of F of length m on the 2**(n-1) last rows
-is a cycle of length L*m of the full map.  orbit walks the one base
-cycle through its start and then the start's last row under F; census
-walks every base cycle and every cycle of each F.  census reads base
-states through two lookup tables per direction (word -> index and
-index -> word, each split into a low and a high half of its bits), and
-walks the cycles of each distinct F once: many base cycles compose the
-same F (976 distinct maps over the 21,616 base cycles at n = 5).
+regularize(M) depend only on rows 0..k of M, so level k, the map on rows
+0..k, is a skew product over level k-1: row k moves by a GF(2)-linear
+map A_x chosen by the state x of rows 0..k-1, and row 0 is fixed.  A
+walk of a level-(k-1) cycle with the unit vectors of row k riding along
+(_Tower) composes the fiber maps to one linear map F, and each cycle of
+F of length m is a level-k cycle of length L*m, L being the length of
+the level-(k-1) cycle.  orbit walks the one cycle of rows 0..n-2
+through its start and then the start's last row under F; census walks
+every level, each level-k cycle giving the level-(k+1) walks over it,
+and walks the cycles of each distinct F once per level: many cycles
+compose the same F.
 trajectory, which returns every matrix, takes plain full steps.
 """
 
@@ -46,9 +44,9 @@ DEFAULT_MAX_ITER = 1 << 20
 #: Census covers all 2**(n*n - n) regular matrices; n = 5 is about a
 #: million of them and the largest size allowed without force.
 CENSUS_MAX_N = 5
-#: Census refuses, even with force, a visited table past 2**32 bytes:
-#: n = 6 needs 2**25 bytes, n = 7 would need 2**36.
-CENSUS_MAX_TABLE_BITS = 32
+#: Census refuses, even with force, past 2**32 steps at its last level:
+#: n = 6 takes 2**25 of them, n = 7 would take 2**36.
+CENSUS_MAX_STEP_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -91,35 +89,50 @@ def phi(M: Matrix) -> Matrix:
 
 
 class _Tower:
-    """The skew-product word for n x n matrices, shared by orbit and census.
+    """Level k of the skew-product tower of n x n matrices: orbit uses
+    level n-1, census every level.
 
-    A tower word holds a base state, rows 0..n-2, in its low (n-1)*n
-    bits (mask base) and the unit vectors e_0..e_(n-2) as rows
-    n-1..2n-3.  plan takes the n-1 steps of the base rows:
-    regularize_packed moves the base by the base map and gives each unit
-    row the update the last row gets, y -> A_x y (each step i < n-1 adds
-    the updated row i into y when y_i is set).  So after the steps of a
-    base cycle the unit rows hold the columns of F = A_x(L-1) ... A_x(0);
-    columns masks off bit n-1, the last row's diagonal.
+    Level k is the map on rows 0..k, which regularize closes.  Row k
+    moves by a GF(2)-linear map A_x of its n-1 off-diagonal bits, chosen
+    by the state x of rows 0..k-1 (no step before step k reads row k's
+    diagonal bit).  A tower word holds x in its low k*n bits (mask base)
+    and the off-diagonal unit vectors of row k as rows k..k+n-2.  plan
+    takes the k steps of rows 0..k-1: regularize_packed moves x by the
+    map of level k-1 and gives each unit row the update row k gets.  So
+    after the steps of a level-(k-1) cycle the unit rows hold the
+    columns of F = A_x(L-1) ... A_x(0).  pack stores row k's off-diagonal
+    bits in n-1 bits by dropping bit k, the identity for k = n-1.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, k: int):
         b = n - 1
-        self.n = n
-        self.plan = regularize_plan(n, 2 * b, b)
-        self.units = sum(1 << (b + j) * n + j for j in range(b))
-        self.base = (1 << b * n) - 1
-        self.last = (1 << b) - 1
+        self.n, self.k = n, k
+        self.plan = regularize_plan(n, k + b, k)
+        self.shift = k * n
+        self.base = (1 << self.shift) - 1
+        self.units = sum(1 << (k + j) * n + j + (j >= k) for j in range(b))
+        self.full = (1 << n) - 1
+        self.low = (1 << k) - 1
+        # F's columns in place in the unit rows, without bit k of each row
+        self.keymask = (self.full ^ 1 << k) * (((1 << b * n) - 1) // self.full)
+
+    def pack(self, row: int) -> int:
+        """Row k's off-diagonal bits of the n-bit row, as n-1 bits."""
+        return row & self.low | row >> self.k + 1 << self.k
+
+    def row(self, y: int) -> int:
+        """Row k with off-diagonal bits y and its diagonal bit, in place in a word."""
+        k = self.k
+        return (y & self.low | y >> k << k + 1 | 1 << k) << self.shift
 
     def split(self, word: int) -> tuple[int, int]:
-        """The base state and the last row's off-diagonal bits of the
-        n x n matrix word."""
-        return word & self.base, (word >> (self.n - 1) * self.n) & self.last
+        """Rows 0..k-1 and row k's packed off-diagonal bits of word."""
+        return word & self.base, self.pack((word >> self.shift) & self.full)
 
     def columns(self, word: int) -> list[int]:
         """The columns of F that the unit rows of word hold."""
-        n, b = self.n, self.n - 1
-        return [(word >> (b + j) * n) & self.last for j in range(b)]
+        n, k, full = self.n, self.k, self.full
+        return [self.pack((word >> (k + j) * n) & full) for j in range(n - 1)]
 
 
 def _apply(cols: list[int], y: int) -> int:
@@ -164,7 +177,7 @@ def orbit(
     _require_regular_gf2(M0, "orbit")
     if max_iter < 1:
         raise PreconditionError("max_iter must be at least 1")
-    tower = _Tower(M0.n)
+    tower = _Tower(M0.n, M0.n - 1)
     plan, basemask = tower.plan, tower.base
     start = pack_gf2_rows(M0)
     base, y0 = tower.split(start)
@@ -215,58 +228,26 @@ def trajectory(M0: Matrix, steps: int) -> list[Matrix]:
 
 
 # -- exhaustive census -----------------------------------------------------
-#
-# The census walks the base, rows 0..n-2 of a regular matrix, as the low
-# (n-1)*n bits of a word.  Its diagonal bits sit at i*(n+1); n off-diagonal
-# bits lie between two of them and one after the last, so dropping them
-# leaves a dense index in [0, 2**((n-1)**2)).
 
 
-def _base_index(word: int, n: int) -> int:
-    b, full = n - 1, (1 << n) - 1
-    idx = 0
-    for i in range(b):
-        idx |= ((word >> i * (n + 1) + 1) & full) << i * n
-    return idx & ((1 << b * b) - 1)
-
-
-def _base_rows(idx: int, n: int) -> int:
-    full = (1 << n) - 1
-    word = 0
-    for i in range(n - 1):
-        word |= (((idx >> i * n) & full) << i * (n + 1) + 1) | (1 << i * (n + 1))
-    return word
-
-
-def _halves(fn, n: int, bits: int) -> tuple[list[int], list[int], int]:
-    """fn(v, n) for v < 2**bits as two lists low, high and a shift half:
-    fn(v, n) == low[v & (len(low) - 1)] | high[v >> half].  This holds
-    because fn moves each bit of v on its own (and _base_rows adds the
-    same diagonal bits to every word)."""
-    half = bits // 2
-    low = [fn(v, n) for v in range(1 << half)]
-    high = [fn(v << half, n) for v in range(1 << bits - half)]
-    return low, high, half
-
-
-def _fiber_cycles(cols: list[int]) -> tuple[int, ...]:
-    """Cycle lengths of the GF(2)-linear map with these columns on all
-    2**len(cols) vectors; InvariantViolation if it is not a bijection,
-    at the first non-start revisit or, failing that, once a walk takes
-    more steps than there are vectors."""
+def _fiber_cycles(cols: list[int]) -> tuple[tuple[int, int], ...]:
+    """(first vector, length) of each cycle of the GF(2)-linear map with
+    these columns on all 2**len(cols) vectors, ordered by first vector;
+    InvariantViolation if it is not a bijection: a walk that reaches a
+    vector of an earlier cycle, or one that takes more steps than there
+    are vectors without returning to its start."""
     image = [0]
     for col in cols:
         image += [w ^ col for w in image]
     size = len(image)
     seen = bytearray(size)
-    lengths = []
+    cycles = []
     steps = range(1, size + 1)  # built once: most fiber cycles are a few steps long
     for v in range(size):
         if seen[v]:
             continue
         w = v
         for m in steps:
-            seen[w] = 1
             w = image[w]
             if w == v:
                 break
@@ -274,78 +255,82 @@ def _fiber_cycles(cols: list[int]) -> tuple[int, ...]:
                 raise InvariantViolation("fiber walk reached a previously visited non-start vector")
         else:
             raise InvariantViolation(f"fiber walk took {size} steps without returning to its start")
-        lengths.append(m)
-    return tuple(lengths)
+        cycles.append((v, m))
+        for _ in steps[:m]:
+            seen[w] = 1
+            w = image[w]
+    return tuple(cycles)
 
 
 def census(n: int, *, force: bool = False) -> CensusReport:
     """Cycle-length histogram of regularize over all regular n x n matrices.
 
-    Walks the 2**((n-1)**2) base states (rows 0..n-2) on tower words
-    (see _Tower) with a visited table, each base cycle once, finding the
-    next unvisited start with bytearray.find; after the L steps of a
-    base cycle the unit rows hold the columns of the composed fiber map
-    F.  Each cycle of F of length m on the 2**(n-1) last rows adds a
-    cycle of length L*m.  Both walks check that every orbit is a pure
-    cycle, and neither walks longer than its table.
+    Walks the levels of the tower (see _Tower) depth first.  Level 0 is
+    the 2**(n-1) fixed points of row 0.  Each level-(k-1) cycle (start x,
+    length L) is stepped L times on a level-k tower word and must return
+    to x; its unit rows then hold the composed map F of row k, and each
+    cycle (y, m) of F is a level-k cycle (x with row k set from y, L*m).
+    At level n-1 these are the cycles of the full map.  No state is
+    looked up, so nothing scales with the 2**(n*n - n) matrices but the
+    walking.
 
-    A base state's index is read from a word, and a start word built
-    from an index, through the two half tables of _halves.  The cycle
-    lengths of F are kept per call, keyed by F's columns, so each
-    distinct F is walked (and checked) once; a later base cycle with the
-    same F reuses them.
+    _fiber_cycles walks F and checks that it is a bijection; a skew
+    product of bijections over a bijection is one, so every orbit is a
+    pure cycle.  Its cycles are kept per level, keyed by F's columns, so
+    each distinct F is walked once per level; the last level keeps only
+    how many vectors lie on cycles of each length, and equal cycle lists
+    are stored once.
 
     Guarded at n <= CENSUS_MAX_N unless force is given, and refused even
-    with force where the visited table would pass 2**CENSUS_MAX_TABLE_BITS
-    bytes.  The refusals do not format n, which may be past Python's
-    int-to-text limit.
+    with force past 2**CENSUS_MAX_STEP_BITS steps of the last level.
+    The refusals do not format n, which may be past Python's int-to-text
+    limit.
     """
     if n < 1:
         raise PreconditionError("census needs n >= 1")
     b = n - 1
-    if b * b > CENSUS_MAX_TABLE_BITS:
+    if b * b > CENSUS_MAX_STEP_BITS:
         raise GuardError(
-            f"census needs a 2**((n-1)**2)-byte visited table, past "
-            f"2**{CENSUS_MAX_TABLE_BITS} bytes; refused even with force"
+            f"census takes 2**((n-1)**2) steps at its last level, past "
+            f"2**{CENSUS_MAX_STEP_BITS}; refused even with force"
         )
     if n > CENSUS_MAX_N and not force:
         raise GuardError(
             f"census above n={CENSUS_MAX_N} enumerates 2**(n*n - n) matrices; pass force to allow"
         )
-    tower = _Tower(n)
-    plan, units = tower.plan, tower.units
-    index_low, index_high, index_half = _halves(_base_index, n, b * n)
-    low_mask, high_mask = len(index_low) - 1, len(index_high) - 1
-    rows_low, rows_high, rows_half = _halves(_base_rows, n, b * b)
-    rows_mask = len(rows_low) - 1
-    # F's columns in place in the unit rows, without bit n-1 of each row
-    col_shift, col_mask = b * n, sum(tower.last << j * n for j in range(b))
-    fibers: dict[int, tuple[int, ...]] = {}
+    towers = [_Tower(n, k) for k in range(n)]
+    rows = [[tower.row(y) for y in range(1 << b)] for tower in towers]
+    fibers: list[dict] = [{} for _ in range(n)]
+    shapes: dict[tuple, tuple] = {}  # one copy of each distinct cycle list
     histogram: dict[int, int] = {}
-    visited = bytearray(1 << (b * b))
-    size = len(visited)
-    steps = range(1, size + 1)
-    start = 0
-    while start >= 0:
-        word = rows_low[start & rows_mask] | rows_high[start >> rows_half] | units
-        idx = start
-        for length in steps:
-            visited[idx] = 1
+
+    def walk(k: int, x: int, length: int) -> None:
+        tower, cache = towers[k], fibers[k]
+        plan = tower.plan
+        word = x | tower.units
+        for _ in range(length):
             word = regularize_packed(word, plan)
-            idx = index_low[word & low_mask] | index_high[(word >> index_half) & high_mask]
-            if idx == start:
-                break
-            if visited[idx]:
-                raise InvariantViolation("base walk reached a previously visited non-start state")
-        else:
-            raise InvariantViolation(f"base walk took {size} steps without returning to its start")
-        key = (word >> col_shift) & col_mask
-        cycles = fibers.get(key)
+        if word & tower.base != x:
+            raise InvariantViolation(f"level {k} walk of length {length} did not return to its start")
+        key = (word >> tower.shift) & tower.keymask
+        cycles = cache.get(key)
         if cycles is None:
-            cycles = fibers[key] = _fiber_cycles(tower.columns(word))
-        for m in cycles:
-            histogram[length * m] = histogram.get(length * m, 0) + length * m
-        start = visited.find(0, start + 1)
+            found = _fiber_cycles(tower.columns(word))
+            if k == b:
+                mass: dict[int, int] = {}
+                for _, m in found:
+                    mass[m] = mass.get(m, 0) + m
+                found = tuple(mass.items())
+            cycles = cache[key] = shapes.setdefault(found, found)
+        if k == b:
+            for m, vectors in cycles:
+                histogram[length * m] = histogram.get(length * m, 0) + length * vectors
+        else:
+            row = rows[k]
+            for y, m in cycles:
+                walk(k + 1, x | row[y], length * m)
+
+    walk(0, 0, 1)
     return CensusReport(n, dict(sorted(histogram.items())), max(histogram))
 
 

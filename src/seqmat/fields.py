@@ -1,13 +1,13 @@
 """Exact scalar arithmetic over GF(2), GF(p) with prime p, and rationals.
 
 A FieldSpec describes the field and performs arithmetic on *raw* canonical
-values (Python ints for the prime fields, fractions.Fraction for the
-rationals).  Scalar wraps a raw value together with its field for the
-element-level API; matrix code works on raw values for speed.
+values: Python ints for the prime fields, fractions.Fraction for the
+rationals.  A field element is such a value; matrices and vectors hold
+them with their FieldSpec.
 
 Canonical forms are unique: residues live in [0, p) and rationals are
 fully reduced with a positive denominator (Fraction guarantees this), so
-equality of scalars is equality of representations.
+equality of values is equality of representations.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    FieldMismatchError,
-    GuardError,
-    NotInvertibleError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import GuardError, NotInvertibleError, ParseError, PreconditionError
 
 #: Moduli are limited so residues stay machine-word sized.
 MAX_MODULUS = 1 << 63
@@ -239,76 +233,3 @@ def field_parse(text: str) -> FieldSpec:
         except PreconditionError as exc:
             raise ParseError(str(exc)) from None
     raise ParseError(f"unknown field descriptor: {text.strip()!r}")
-
-
-class Scalar:
-    """A field element: canonical raw value plus its FieldSpec."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value, field: FieldSpec):
-        object.__setattr__(self, "value", field.coerce(value))
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"Scalar is immutable; cannot set {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __repr__(self) -> str:
-        return f"Scalar({self.field.format_scalar(self.value)}, {self.field})"
-
-    def __str__(self) -> str:
-        return self.field.format_scalar(self.value)
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        return add(self, other)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return add(self, neg(other))
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return mul(self, other)
-
-    def __neg__(self) -> "Scalar":
-        return neg(self)
-
-    def inv(self) -> "Scalar":
-        return inv(self)
-
-
-def _same_field(a: Scalar, b: Scalar) -> FieldSpec:
-    if a.field != b.field:
-        raise FieldMismatchError(f"mixed fields: {a.field} vs {b.field}")
-    return a.field
-
-
-def add(a: Scalar, b: Scalar) -> Scalar:
-    f = _same_field(a, b)
-    return Scalar(f.add(a.value, b.value), f)
-
-
-def mul(a: Scalar, b: Scalar) -> Scalar:
-    f = _same_field(a, b)
-    return Scalar(f.mul(a.value, b.value), f)
-
-
-def neg(a: Scalar) -> Scalar:
-    return Scalar(a.field.neg(a.value), a.field)
-
-
-def inv(a: Scalar) -> Scalar:
-    return Scalar(a.field.inv(a.value), a.field)
-
-
-def scalar_parse(text: str, field: FieldSpec) -> Scalar:
-    return Scalar(field.parse_scalar(text), field)

@@ -58,7 +58,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, PreconditionError
-from .fields import GF2, FieldSpec, Scalar, digit_limit_error
+from .fields import GF2, FieldSpec, digit_limit_error
 
 # Entries 0..9 as bytes, to and from their digits: the text codec of the
 # one-digit fields (Matrix.body_text) and of GF(2) rows and words.
@@ -95,9 +95,6 @@ class Vector:
 
     def __getitem__(self, i):
         return self.entries[i]
-
-    def scalars(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar(v, self.field) for v in self.entries)
 
     def __str__(self) -> str:
         return " ".join(self.field.format_scalar(v) for v in self.entries)

@@ -173,7 +173,8 @@ def test_criterion_07_dynamics_structural_laws():
     for M in all_regular_gf2_matrices(4):
         assert phi(regularize(M)) == M
 
-    # pure cycles: census raises on any non-start repeat by construction
+    # pure cycles: census raises unless every level walk returns to its
+    # start and every composed fiber map is a bijection
     census(3)
     census(4)
     rng = random.Random(2017)

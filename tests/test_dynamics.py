@@ -23,7 +23,7 @@ from seqmat import (
     regularize,
     trajectory,
 )
-from seqmat.dynamics import _base_index, _base_rows, _fiber_cycles, _halves
+from seqmat.dynamics import _fiber_cycles, _Tower
 from seqmat.errors import GuardError, InvariantViolation, PreconditionError
 from seqmat.regularize import regularize_packed
 from test_regularize import _reference_packed
@@ -128,21 +128,63 @@ def test_orbit_fiber_walk_catches_singular_product(monkeypatch):
 
 
 def test_census_base_walk_catches_non_injective_map(monkeypatch):
-    # census(3) walks the four states of rows 0..1, in a word of four rows
-    # of width 3.  Every step lands on state 0, base rows e_0, e_1, with
-    # identity fiber columns e_0, e_1 in rows 2..3: state 0 is a fixed
-    # point with an invertible fiber, and state 1 then lands on the
-    # visited state 0, which is not its own start.
-    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map(0b010_001_010_001))
-    with pytest.raises(InvariantViolation, match="base walk reached a previously visited"):
+    # Every step lands on one word.  Its rows 0..1 are row 0's
+    # off-diagonal unit vectors (0b010, 0b100), the unit rows of a level-0
+    # word of census(3), so level 0's F is the identity.  A level-1 word
+    # holds row 0 in its low bits, and the image's row 0 has no diagonal
+    # bit, so no level-1 walk returns to its start.
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map(0b100_010))
+    with pytest.raises(InvariantViolation, match="level 1 walk of length 1 did not return"):
+        census(3)
+
+
+def test_census_level_walk_catches_moving_row_0(monkeypatch):
+    # The real map, but bit 1 of row 0 flips at every step of a level >= 1
+    # word (its plan has steps): still a bijection, but row 0 is no
+    # longer fixed, so no level-1 walk returns after its one step.
+    def drift(word, plan):
+        return regularize_packed(word, plan) ^ (0b010 if plan[0] else 0)
+
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", drift)
+    with pytest.raises(InvariantViolation, match="level 1 walk of length 1 did not return"):
         census(3)
 
 
 def test_census_fiber_walk_catches_singular_product(monkeypatch):
-    # The real base map, but F = 0: 0 and e_0 both map to 0.
+    # The real map, but every row past row 1 is zeroed: at level 1 of
+    # census(3) the unit row of row 1's e_2 goes to 0, a fixed point that
+    # an earlier walk met.
     monkeypatch.setattr("seqmat.dynamics.regularize_packed", _keep_base_rows)
     with pytest.raises(InvariantViolation, match="fiber walk reached a previously visited"):
         census(3)
+
+
+def test_census_fiber_walk_catches_rho_shaped_walk(monkeypatch):
+    # Both unit rows of a level-0 word of census(3) become 0b100, row 0's
+    # unit vector e_2, packed as e_1: F e_0 = F e_1 = e_1.  The walk
+    # e_0 -> e_1 -> e_1 -> ... meets no earlier cycle and never returns.
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map(0b100_100))
+    with pytest.raises(InvariantViolation, match="took 4 steps without returning"):
+        census(3)
+
+
+def test_fiber_cycles_first_vectors_and_lengths():
+    # columns e_1, e_0 swap the two bits: 0 and 3 are fixed, 1 <-> 2
+    assert _fiber_cycles([0b10, 0b01]) == ((0, 1), (1, 2), (3, 1))
+    assert _fiber_cycles([]) == ((0, 1),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_tower_rows_round_trip(n):
+    # Row k's n-1 off-diagonal bits, packed by dropping bit k, round trip
+    # through the word, and the unit rows hold F = identity before a step.
+    for k in range(n):
+        tower = _Tower(n, k)
+        for y in range(1 << n - 1):
+            assert tower.split(tower.row(y)) == (0, y)
+        assert tower.columns(tower.units) == [1 << j for j in range(n - 1)]
+    # orbit's level n-1: the last row's bits below its diagonal, unchanged
+    assert _Tower(n, n - 1).pack((1 << n) - 1) == (1 << n - 1) - 1
 
 
 def test_orbit_preconditions():
@@ -366,7 +408,7 @@ def test_census_guards():
 
 
 def _assert_refused_cheaply(n, force):
-    # Refused before the visited table is allocated, and without
+    # Refused before any walk starts, and without
     # formatting n or 2**(n*n - n), whose digits may be past the int/str limit.
     tracemalloc.start()
     start = time.perf_counter()
@@ -391,51 +433,29 @@ def test_census_refuses_past_index_range(n, force):
 
 
 @pytest.mark.parametrize("n", [7, 8])
-def test_census_force_refuses_past_table_cap(n):
-    # 2**36 and 2**49 bytes of visited table, past the 2**32-byte cap.
+def test_census_force_refuses_past_work_cap(n):
+    # 2**36 and 2**49 steps at the last level, past the 2**32-step cap.
     _assert_refused_cheaply(n, True)
 
 
-def _check_census_tables(n, indices):
-    # census reads both directions of the base index layout as
-    # low[v & mask] | high[v >> half]; they must agree with the reference
-    # functions, and a tower word's unit rows (above the base bits) must
-    # not reach the index.
-    b = n - 1
-    index_low, index_high, index_half = _halves(_base_index, n, b * n)
-    rows_low, rows_high, rows_half = _halves(_base_rows, n, b * b)
-    assert len(index_low) * len(index_high) == 1 << b * n
-    assert len(rows_low) * len(rows_high) == 1 << b * b
-    high_mask = len(index_high) - 1
-    junk = random.Random(n).getrandbits(2 * b * n) << b * n
-    for idx in indices:
-        word = rows_low[idx & len(rows_low) - 1] | rows_high[idx >> rows_half]
-        assert word == _base_rows(idx, n)
-        for w in (word, word | junk):
-            got = index_low[w & len(index_low) - 1] | index_high[(w >> index_half) & high_mask]
-            assert got == _base_index(w, n) == idx
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_census_tables_match_reference_exhaustive(n):
-    _check_census_tables(n, range(1 << (n - 1) ** 2))
-
-
-def test_census_tables_match_reference_random_n6():
-    rng = random.Random(66)
-    _check_census_tables(6, [rng.getrandbits(25) for _ in range(10_000)])
-
-
 def test_census_walks_each_distinct_fiber_map_once(monkeypatch):
-    seen = []
+    # The fiber walk of level k follows the steps of a level-k word, whose
+    # plan has k steps, so the plan of the last step tells the level.
+    level, seen = [None], []
+
+    def stepped(word, plan):
+        level[0] = len(plan[0])
+        return regularize_packed(word, plan)
 
     def counted(cols):
-        seen.append(tuple(cols))
+        seen.append((level[0], tuple(cols)))
         return _fiber_cycles(cols)
 
+    monkeypatch.setattr("seqmat.dynamics.regularize_packed", stepped)
     monkeypatch.setattr("seqmat.dynamics._fiber_cycles", counted)
     report = census(5)
-    assert len(seen) == len(set(seen)) == 976
+    assert len(seen) == len(set(seen))
+    assert {k for k, _ in seen} == set(range(5))
     assert report.histogram == CENSUS_5_HISTOGRAM
 
 

@@ -12,21 +12,10 @@ from seqmat import (
     RATIONAL,
     FieldKind,
     FieldSpec,
-    Scalar,
-    add,
     field_parse,
     gfp,
-    inv,
-    mul,
-    neg,
-    scalar_parse,
 )
-from seqmat.errors import (
-    FieldMismatchError,
-    NotInvertibleError,
-    ParseError,
-    PreconditionError,
-)
+from seqmat.errors import NotInvertibleError, ParseError, PreconditionError
 
 GF3 = gfp(3)
 GF5 = gfp(5)
@@ -98,32 +87,29 @@ def test_large_prime_modulus_accepted():
 
 
 def test_gf2_characteristic_two():
-    one = Scalar(1, GF2)
-    assert add(one, one) == Scalar(0, GF2)
+    assert GF2.add(1, 1) == 0
 
 
 def test_rational_inverse_pair():
-    a = Scalar(Fraction(2, 3), RATIONAL)
-    b = Scalar(Fraction(3, 2), RATIONAL)
-    assert mul(a, b) == Scalar(1, RATIONAL)
+    assert RATIONAL.mul(Fraction(2, 3), Fraction(3, 2)) == 1
 
 
 def test_gf7_add_reduces():
     # 5 + 4 = 9 = 7 + 2
-    assert add(Scalar(5, GF7), Scalar(4, GF7)) == Scalar(2, GF7)
+    assert GF7.add(5, 4) == 2
 
 
 def test_inv_examples():
-    assert inv(Scalar(1, GF2)) == Scalar(1, GF2)
-    assert inv(Scalar(2, GF5)) == Scalar(3, GF5)  # 2*3 = 6 = 5 + 1
-    assert inv(Scalar(Fraction(-3, 2), RATIONAL)) == Scalar(Fraction(-2, 3), RATIONAL)
+    assert GF2.inv(1) == 1
+    assert GF5.inv(2) == 3  # 2*3 = 6 = 5 + 1
+    assert RATIONAL.inv(Fraction(-3, 2)) == Fraction(-2, 3)
 
 
 def test_inv_of_zero_fails():
     with pytest.raises(NotInvertibleError):
-        inv(Scalar(0, GF7))
+        GF7.inv(0)
     with pytest.raises(NotInvertibleError):
-        inv(Scalar(0, RATIONAL))
+        RATIONAL.inv(RATIONAL.zero)
 
 
 def test_inverse_law_exhaustive_small_fields():
@@ -145,9 +131,10 @@ def test_inverse_law_random_rationals():
 
 
 def test_scalar_canonicalizes_on_construction():
-    assert Scalar(9, GF7).value == 2
-    assert Scalar(-1, GF7).value == 6
-    assert Scalar(Fraction(4, 6), RATIONAL).value == Fraction(2, 3)
+    assert GF7.coerce(9) == 2
+    assert GF7.coerce(-1) == 6
+    assert RATIONAL.coerce(Fraction(4, 6)) == Fraction(2, 3)
+    assert type(RATIONAL.coerce(3)) is Fraction
 
 
 def test_canonical_form_idempotent():
@@ -158,17 +145,16 @@ def test_canonical_form_idempotent():
                 raw = rng.randrange(field.modulus)
             else:
                 raw = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
-            s = Scalar(raw, field)
-            assert Scalar(s.value, s.field) == s
+            assert field.coerce(field.coerce(raw)) == field.coerce(raw)
 
 
 def test_scalar_rejects_wrong_types():
     with pytest.raises(PreconditionError):
-        Scalar(Fraction(1, 2), GF7)
+        GF7.coerce(Fraction(1, 2))
     with pytest.raises(PreconditionError):
-        Scalar(0.5, RATIONAL)
+        RATIONAL.coerce(0.5)
     with pytest.raises(PreconditionError):
-        Scalar(True, GF2)
+        GF2.coerce(True)
 
 
 # -- algebra laws -------------------------------------------------------------
@@ -209,36 +195,27 @@ def test_rational_laws_hypothesis(a, b, c):
         assert RATIONAL.mul(a, RATIONAL.inv(a)) == Fraction(1)
 
 
-# -- scalar wrapper ------------------------------------------------------------
-
-
-def test_scalar_field_mismatch():
-    with pytest.raises(FieldMismatchError):
-        add(Scalar(1, GF2), Scalar(1, GF7))
-    with pytest.raises(FieldMismatchError):
-        mul(Scalar(1, RATIONAL), Scalar(1, GF7))
+# -- scalar operations and text ----------------------------------------------------
 
 
 def test_scalar_operators():
-    a = Scalar(3, GF7)
-    b = Scalar(6, GF7)
-    assert a + b == Scalar(2, GF7)
-    assert a * b == Scalar(4, GF7)
-    assert -a == Scalar(4, GF7)
-    assert a - b == Scalar(4, GF7)
-    assert neg(b) == Scalar(1, GF7)
-    assert b.inv() == Scalar(6, GF7)  # 6*6 = 36 = 35 + 1
-    assert str(Scalar(Fraction(-2, 3), RATIONAL)) == "-2/3"
+    assert GF7.add(3, 6) == 2
+    assert GF7.mul(3, 6) == 4
+    assert GF7.neg(3) == 4
+    assert GF7.sub(3, 6) == 4
+    assert GF7.neg(6) == 1
+    assert GF7.inv(6) == 6  # 6*6 = 36 = 35 + 1
+    assert RATIONAL.format_scalar(Fraction(-2, 3)) == "-2/3"
 
 
 def test_scalar_parse_and_format():
-    assert scalar_parse("-3", GF7) == Scalar(4, GF7)
-    assert scalar_parse("4/6", RATIONAL).value == Fraction(2, 3)
+    assert GF7.parse_scalar("-3") == 4
+    assert RATIONAL.parse_scalar("4/6") == Fraction(2, 3)
     with pytest.raises(ParseError):
-        scalar_parse("1.5", RATIONAL)
+        RATIONAL.parse_scalar("1.5")
     with pytest.raises(ParseError):
-        scalar_parse("2/0", RATIONAL)
+        RATIONAL.parse_scalar("2/0")
     with pytest.raises(ParseError):
-        scalar_parse("x", GF2)
+        GF2.parse_scalar("x")
     with pytest.raises(ParseError):
-        scalar_parse("1/2", GF7)
+        GF7.parse_scalar("1/2")

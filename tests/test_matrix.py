@@ -465,6 +465,6 @@ def test_vector_accessors():
     X = vec(GF7, 5, 9)
     assert len(X) == 2
     assert X[1] == 2
-    assert [s.value for s in X.scalars()] == [5, 2]
+    assert X.entries == (5, 2)
     assert M3.entry(2, 1) == 7
     assert M3.row(0) == vec(RATIONAL, 0, 1, 2)
