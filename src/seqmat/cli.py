@@ -25,7 +25,7 @@ from .formats import (
 from .graphs import Digraph, chain_rewrite, constructs, linorder_rewrite, to_dot
 from .matrix import Matrix, Vector, parallel_apply, seq_apply, seq_equivalent, seq_matrix, seq_program
 from .regularize import regularize_general, regularize_trace
-from .sequentialize import PREIMAGE_MAX_CANDIDATES, preimage_search, sequentialize, sequentialize_perm
+from .sequentialize import preimage_search, sequentialize, sequentialize_perm
 
 
 def _read(path: str) -> str:
@@ -92,7 +92,7 @@ def _cmd_sequentialize(args) -> int:
 
 
 def _cmd_preimage(args) -> int:
-    found = preimage_search(_load_matrix(args.matrix), max_candidates=args.limit)
+    found = preimage_search(_load_matrix(args.matrix))
     _emit("none\n" if found is None else format_matrix(found))
     return 0
 
@@ -200,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     _matrix_arg(sub)
     sub.set_defaults(handler=_cmd_sequentialize)
 
-    sub = subs.add_parser("preimage", help="search a matrix whose in-place map equals this ordinary map")
-    sub.add_argument("--limit", type=int, default=PREIMAGE_MAX_CANDIDATES,
-                     help="candidate-count guard (default %(default)s)")
+    sub = subs.add_parser("preimage", help="first matrix whose in-place map equals this ordinary map")
     _matrix_arg(sub)
     sub.set_defaults(handler=_cmd_preimage)
 

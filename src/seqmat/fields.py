@@ -104,18 +104,6 @@ class FieldSpec:
     def is_finite(self) -> bool:
         return self.modulus is not None
 
-    @property
-    def order(self) -> int:
-        if self.modulus is None:
-            raise PreconditionError("rational field is infinite")
-        return self.modulus
-
-    def elements(self):
-        """All canonical values, ascending. Finite fields only."""
-        if self.modulus is None:
-            raise PreconditionError("rational field is infinite")
-        return range(self.modulus)
-
     # -- raw-value arithmetic -------------------------------------------
 
     @property

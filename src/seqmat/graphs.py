@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import PreconditionError
 from .matrix import Matrix, is_regular, require_gf2, seq_equivalent, seq_matrix
 from .regularize import regularize
-from .sequentialize import PREIMAGE_MAX_CANDIDATES, preimage_search
+from .sequentialize import preimage_search
 
 
 @dataclass(frozen=True)
@@ -50,16 +50,17 @@ def constructs(G: Digraph) -> Digraph:
     return Digraph(seq_matrix(G.adjacency))
 
 
-def constructor_of(G: Digraph, *, max_candidates: int = PREIMAGE_MAX_CANDIDATES):
+def constructor_of(G: Digraph):
     """A graph that constructs G.
 
     Reflexive G: the regularized adjacency, whose construction equals G
-    once its diagonal is forced back to ones.  Otherwise an exhaustive
-    search for an exact constructor, which may come back empty.
+    once its diagonal is forced back to ones.  Otherwise the first exact
+    constructor preimage_search solves for, row by row; None when G has
+    none.
     """
     if is_reflexive(G):
         return Digraph(regularize(G.adjacency))
-    found = preimage_search(G.adjacency, max_candidates=max_candidates)
+    found = preimage_search(G.adjacency)
     return None if found is None else Digraph(found)
 
 

@@ -10,11 +10,11 @@ computed by program_symbolic / seq_matrix.
 Entries are stored as raw canonical field values (ints / Fractions);
 indices are 0-based in code, 1-based in all text formats.
 
-Row arithmetic (program_symbolic, preimage_search and the elimination
-kernel of the sequentialize module) runs on packed rows, in the backend
-row_backend picks from the field's modulus.  Every backend reads a row
-back as canonical entries (read, matrix) and forms the canonical packed
-row sum_t c_t * row_t (combine):
+Row arithmetic (program_symbolic and the elimination kernel of the
+sequentialize module) runs on packed rows, in the backend row_backend
+picks from the field's modulus.  Every backend reads a row back as
+canonical entries (read, matrix) and forms the canonical packed row
+sum_t c_t * row_t (combine):
 
 * GF(2): row k is one int, bit t holding entry (k, t).  A sum is one
   XOR per nonzero coefficient; a substitution update is one XOR with the

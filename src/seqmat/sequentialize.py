@@ -11,9 +11,11 @@ Three routes:
   result is coded compactly as (matrix, fix-up list).
 * sequentialize_perm: exactly n assignments, repairing zero pivots by
   swapping the offending row up; coded as (matrix, permutation).
-* preimage_search: brute force, asking whether any matrix has an
+* preimage_search: the converse question, whether some matrix has an
   in-place interpretation equal to the ordinary interpretation of the
-  target.
+  target.  Over a finite field it is answered by one leading-block
+  linear solve per row, which also picks the lexicographically first
+  such matrix.
 
 Both compilers, and regularize_general in the regularize module, are one
 elimination kernel, eliminate, with different pivot policies.  It keeps
@@ -26,9 +28,8 @@ checked against the program_symbolic oracle in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .errors import GuardError, PreconditionError
+from .errors import PreconditionError
 from .matrix import (
     Assignment,
     Matrix,
@@ -179,55 +180,58 @@ def sequentialize_perm(M: Matrix) -> tuple[StraightLineProgram, PermCoding]:
     return seq_program(coding.matrix), coding
 
 
-#: Default enumeration budget: all GF(2) matrices up to 4 x 4.
-PREIMAGE_MAX_CANDIDATES = 1 << 16
-
-
-def preimage_search(M: Matrix, *, max_candidates: int = PREIMAGE_MAX_CANDIDATES):
+def preimage_search(M: Matrix):
     """First matrix P (row-major lexicographic order on canonical entries)
     with seq_matrix(P) = M, or None when no such matrix exists.
 
-    The scan prunes by prefix: after its own assignment, row i of the
-    running coefficient matrix is final, so candidate prefixes whose
-    coefficient row already disagrees with M are skipped along with all
-    their extensions.  Hits, and their order, are exactly those of the
-    plain |K|**(n*n) enumeration.
+    The rows of P are independent linear systems.  Step i of P's
+    in-place program replaces row i of the running coefficient matrix C
+    and no later step touches it, so if seq_matrix(P) = M then, just
+    before step i, the rows of C are M's rows 0..i-1 followed by the
+    unit rows e_i..e_(n-1), whatever P's earlier rows are.  Row i of P
+    is therefore any (y, z) with y * M[:i, :i] = M[i, :i] and
+    z = M[i, i:] - y * M[:i, i:]; the first P takes the first y of
+    every row (see _first_solution).  O(n^4) entry operations, no guard.
     """
     field = M.field
-    if not field.is_finite:
+    p = field.modulus
+    if p is None:
         raise PreconditionError("preimage search needs a finite field")
-    n = M.n
-    # order**(n*n) >= 2**(n*n*(bits-1)), so the bit-length test refuses
-    # huge spaces without computing their size.
-    if (
-        n * n * (field.order.bit_length() - 1) >= max_candidates.bit_length()
-        or field.order ** (n * n) > max_candidates
-    ):
-        raise GuardError(
-            f"preimage space {field.order}**{n * n} exceeds "
-            f"max_candidates={max_candidates}; raise the limit to force"
-        )
-    target = row_backend(M).rows
-    elements = tuple(field.elements())
-    running = row_backend(Matrix.identity(n, field))
-    coeff_rows = running.rows
-    chosen: list[tuple] = []
+    found = []
+    for i, target in enumerate(M.rows):
+        above = M.rows[:i]
+        # one equation per column c < i: sum_k y_k * M[k][c] = M[i][c]
+        y = _first_solution([[row[c] for row in above] + [target[c]] for c in range(i)], p)
+        if y is None:
+            return None
+        z = [(target[c] - sum(a * row[c] for a, row in zip(y, above))) % p for c in range(i, M.n)]
+        found.append(tuple(y + z))
+    return Matrix(field, tuple(found))
 
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        saved = coeff_rows[i]
-        for combo in product(elements, repeat=n):
-            produced = running.combine(combo)
-            if produced == target[i]:
-                coeff_rows[i] = produced
-                chosen.append(combo)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-                coeff_rows[i] = saved
-        return False
 
-    if extend(0):
-        return Matrix(field, tuple(chosen))
-    return None
+def _first_solution(equations: list[list[int]], p: int) -> list[int] | None:
+    """Lexicographically first y with sum_k y_k * eq[k] = eq[-1] (mod p)
+    for every equation, or None when there is none.
+
+    Forward elimination takes the unknowns from the last down to y_0, so
+    each pivot unknown is left depending only on earlier unknowns; with
+    every free unknown 0, back substitution upwards gives the first y.
+    """
+    y = [0] * len(equations)
+    pivots = {}
+    for k in reversed(range(len(y))):
+        r = next((t for t, eq in enumerate(equations) if eq[k]), None)
+        if r is None:
+            continue  # y_k is free
+        inv = pow(equations[r][k], -1, p)
+        pivots[k] = pivot = [a * inv % p for a in equations.pop(r)]
+        for eq in equations:
+            f = eq[k]
+            if f:
+                eq[:] = [(a - f * b) % p for a, b in zip(eq, pivot)]
+    if any(eq[-1] for eq in equations):  # all their coefficients are 0
+        return None
+    for k in sorted(pivots):  # y[k:] is still 0 here
+        pivot = pivots[k]
+        y[k] = (pivot[-1] - sum(a * b for a, b in zip(pivot, y))) % p
+    return y

@@ -283,6 +283,27 @@ def test_compile_golden_outputs(capsys, name):
     assert out == (COMPILE_GOLDEN / f"{name}.out").read_text()
 
 
+#: preimage inputs and outputs: GF(2) n = 4 with and without a constructor
+#: (outputs of the former exhaustive search), and seq_matrix(P) at n = 12
+#: over GF(7) and GF(2^31-1) for P with a nonzero diagonal, whose output
+#: is P.  CI diffs the same files.
+PREIMAGE_GOLDEN = Path(__file__).parent / "data" / "preimage_golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PREIMAGE_GOLDEN.glob("*.txt")))
+def test_preimage_golden_outputs(capsys, name):
+    code, out, err = run(capsys, "preimage", str(PREIMAGE_GOLDEN / f"{name}.txt"))
+    assert (code, err) == (0, "")
+    assert out == (PREIMAGE_GOLDEN / f"{name}.out").read_text()
+
+
+def test_preimage_limit_is_gone(tmp_path):
+    src = write(tmp_path, "m.txt", "gf2\nn 2\n1 1\n1 0\n")
+    with pytest.raises(SystemExit) as exited:
+        main(["preimage", "--limit", "10", src])
+    assert exited.value.code == 2
+
+
 def test_digit_limit_exits_one(capsys, tmp_path):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:

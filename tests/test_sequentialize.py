@@ -1,8 +1,8 @@
-"""The in-place compilers: exact runs, contracts, and brute-force search."""
+"""The in-place compilers and the preimage solve: exact runs, contracts, and
+exhaustive checks against full enumeration."""
 
 import itertools
 import random
-import time
 
 import pytest
 
@@ -22,7 +22,7 @@ from seqmat import (
     sequentialize,
     sequentialize_perm,
 )
-from seqmat.errors import GuardError, PreconditionError
+from seqmat.errors import PreconditionError
 
 GF3 = gfp(3)
 
@@ -163,7 +163,7 @@ def _enumerate_first_hit(M):
     """Independent full scan in row-major lexicographic order."""
     field = M.field
     n = M.n
-    for flat in itertools.product(field.elements(), repeat=n * n):
+    for flat in itertools.product(range(field.modulus), repeat=n * n):
         P = Matrix.of(field, [flat[i * n : (i + 1) * n] for i in range(n)])
         if seq_matrix(P) == M:
             return P
@@ -190,22 +190,73 @@ def test_preimage_result_always_validates():
 def test_preimage_guards():
     with pytest.raises(PreconditionError):
         preimage_search(Matrix.identity(2, RATIONAL))
-    with pytest.raises(GuardError):
-        preimage_search(Matrix.identity(5, GF2))
-    with pytest.raises(GuardError):
-        preimage_search(Matrix.identity(3, GF7))
-    # explicit override admits a bigger space
-    assert preimage_search(
-        Matrix.identity(5, GF2), max_candidates=1 << 25
-    ) == Matrix.identity(5, GF2)
-    # a space of (2**63-25)**160000, about 10**7 bits, is refused without
-    # being computed; the guard only reads n and the field
-    n = 400
-    huge = Matrix(gfp(2**63 - 25), ((0,) * n,) * n)
-    started = time.perf_counter()
-    with pytest.raises(GuardError):
-        preimage_search(huge, max_candidates=1 << 62)
-    assert time.perf_counter() - started < 0.5
+
+
+def all_matrices(field, n):
+    """Every n x n matrix over a finite field, row-major lexicographic."""
+    for flat in itertools.product(range(field.modulus), repeat=n * n):
+        yield Matrix.of(field, [flat[i * n : (i + 1) * n] for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "field,n,constructible",
+    [(GF2, 1, 2), (GF2, 2, 12), (GF2, 3, 248), (GF3, 1, 3), (GF3, 2, 63), (gfp(5), 2, 525)],
+)
+def test_preimage_matches_full_image_map(field, n, constructible):
+    # the image map keeps, for each seq_matrix(P), the first P in
+    # row-major lexicographic order
+    first = {}
+    for P in all_matrices(field, n):
+        first.setdefault(seq_matrix(P), P)
+    assert len(first) == constructible
+    for M in all_matrices(field, n):
+        assert preimage_search(M) == first.get(M)
+
+
+def test_preimage_recovers_source_with_nonzero_diagonal():
+    # The leading i x i block of seq_matrix(P) has determinant
+    # P[0][0] * ... * P[i-1][i-1], so with a nonzero diagonal every row's
+    # system has one solution and the first preimage is P itself.
+    field = gfp(2**31 - 1)
+    p = field.modulus
+    rng = random.Random(1532)
+    n = 32
+    P = Matrix.of(
+        field,
+        [[rng.randrange(1, p) if i == j else rng.randrange(p) for j in range(n)] for i in range(n)],
+    )
+    assert preimage_search(seq_matrix(P)) == P
+
+
+def test_preimage_is_at_most_any_source():
+    # P itself is a preimage of seq_matrix(P), so the first one is a
+    # preimage no later than P in row-major lexicographic order.
+    rng = random.Random(1533)
+    for trial in range(60):
+        field = (GF2, GF3, GF7)[trial % 3]
+        n = trial % 10 + 1
+        P = random_matrix(rng, field, n)
+        for i in rng.sample(range(n), rng.randrange(n + 1)):
+            P = Matrix(field, P.rows[:i] + ((0,) * n,) + P.rows[i + 1 :])
+        M = seq_matrix(P)
+        Q = preimage_search(M)
+        assert seq_matrix(Q) == M
+        assert Q.rows <= P.rows
+
+
+# -- exhaustive ground truth for both compilers -----------------------------------------
+
+
+@pytest.mark.parametrize("field,n", [(GF2, 1), (GF2, 2), (GF2, 3), (GF3, 1), (GF3, 2)])
+def test_compilers_on_every_matrix(field, n):
+    for M in all_matrices(field, n):
+        program, _ = sequentialize(M)
+        assert program_symbolic(program) == M
+        assert len(program) <= 2 * n - 1
+        program, coding = sequentialize_perm(M)
+        assert len(program) == n
+        S = program_symbolic(program)
+        assert list(S.rows) == [M.rows[s] for s in coding.perm]
 
 
 # -- row-exchange method ----------------------------------------------------------------
