@@ -25,8 +25,6 @@ trajectory, which returns every matrix, takes plain full steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GuardError, InvariantViolation, PreconditionError
 from .matrix import (
     Matrix,
@@ -37,6 +35,7 @@ from .matrix import (
     set_diag_ones,
     unpack_gf2_rows,
 )
+from .record import Record, set_field
 from .regularize import regularize_packed, regularize_plan
 
 DEFAULT_MAX_ITER = 1 << 20
@@ -49,16 +48,17 @@ CENSUS_MAX_N = 5
 CENSUS_MAX_STEP_BITS = 32
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Record):
     """Cycle data for one start matrix under repeated regularize."""
 
-    start: Matrix
-    cycle_length: int
+    __slots__ = ("start", "cycle_length")
+
+    def __init__(self, start: Matrix, cycle_length: int) -> None:
+        set_field(self, "start", start)
+        set_field(self, "cycle_length", cycle_length)
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(Record):
     """Cycle-length histogram over all regular n x n GF(2) matrices.
 
     histogram[L] counts the *matrices* lying on cycles of length L, so
@@ -66,9 +66,12 @@ class CensusReport:
     the histogram masses sum to 2**(n*n - n).
     """
 
-    n: int
-    histogram: dict[int, int]
-    max_cycle_length: int
+    __slots__ = ("n", "histogram", "max_cycle_length")
+
+    def __init__(self, n: int, histogram: dict[int, int], max_cycle_length: int) -> None:
+        set_field(self, "n", n)
+        set_field(self, "histogram", histogram)
+        set_field(self, "max_cycle_length", max_cycle_length)
 
     @property
     def matrix_count(self) -> int:

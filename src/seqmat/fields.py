@@ -15,10 +15,10 @@ from __future__ import annotations
 import enum
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError, NotInvertibleError, ParseError, PreconditionError
+from .record import Record, set_field
 
 #: Moduli are limited so residues stay machine-word sized.
 MAX_MODULUS = 1 << 63
@@ -62,30 +62,29 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Descriptor of an exact field; GF(2) and GF(p) carry their modulus."""
 
-    kind: FieldKind
-    modulus: int | None = None
+    __slots__ = ("kind", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.kind is FieldKind.RATIONAL:
-            if self.modulus is not None:
+    def __init__(self, kind: FieldKind, modulus: int | None = None) -> None:
+        if kind is FieldKind.RATIONAL:
+            if modulus is not None:
                 raise PreconditionError("rational field takes no modulus")
-        elif self.kind is FieldKind.GF2:
-            if self.modulus != 2:
+        elif kind is FieldKind.GF2:
+            if modulus != 2:
                 raise PreconditionError("GF2 must have modulus 2")
         else:
-            p = self.modulus
-            if p is None:
+            if modulus is None:
                 raise PreconditionError("GF(p) needs a modulus")
-            if p == 2:
+            if modulus == 2:
                 raise PreconditionError("use the GF2 spec for modulus 2")
-            if p >= MAX_MODULUS:
-                raise PreconditionError(f"modulus {p} exceeds the 63-bit limit")
-            if not _is_prime(p):
-                raise PreconditionError(f"modulus {p} is not prime")
+            if modulus >= MAX_MODULUS:
+                raise PreconditionError(f"modulus {modulus} exceeds the 63-bit limit")
+            if not _is_prime(modulus):
+                raise PreconditionError(f"modulus {modulus} is not prime")
+        set_field(self, "kind", kind)
+        set_field(self, "modulus", modulus)
 
     # -- description ---------------------------------------------------
 

@@ -10,22 +10,21 @@ vertex, and collapsing a linear order onto its lowest arc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .matrix import Matrix, is_regular, require_gf2, seq_equivalent, seq_matrix
+from .record import Record, set_field
 from .regularize import regularize
 from .sequentialize import preimage_search
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(Record):
     """Finite digraph on vertices x1..xn, stored as its adjacency matrix."""
 
-    adjacency: Matrix
+    __slots__ = ("adjacency",)
 
-    def __post_init__(self) -> None:
-        require_gf2(self.adjacency, "digraph adjacency")
+    def __init__(self, adjacency: Matrix) -> None:
+        require_gf2(adjacency, "digraph adjacency")
+        set_field(self, "adjacency", adjacency)
 
     @property
     def n(self) -> int:

@@ -53,12 +53,12 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError, PreconditionError
 from .fields import GF2, FieldSpec, digit_limit_error
+from .record import Record, set_field
 
 # Entries 0..9 as bytes, to and from their digits: the text codec of the
 # one-digit fields (Matrix.body_text) and of GF(2) rows and words.
@@ -76,12 +76,14 @@ def _int_to_bits(word: int, width: int) -> bytes:
     return format(word, f"0{width}b")[::-1].encode().translate(_FROM_DIGITS)
 
 
-@dataclass(frozen=True)
-class Vector:
+class Vector(Record):
     """Length-n vector of canonical raw values over one field."""
 
-    field: FieldSpec
-    entries: tuple
+    __slots__ = ("field", "entries")
+
+    def __init__(self, field: FieldSpec, entries: tuple) -> None:
+        set_field(self, "field", field)
+        set_field(self, "entries", entries)
 
     @classmethod
     def of(cls, field: FieldSpec, entries) -> "Vector":
@@ -100,12 +102,14 @@ class Vector:
         return " ".join(self.field.format_scalar(v) for v in self.entries)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Square n x n matrix over one field, stored row-major."""
 
-    field: FieldSpec
-    rows: tuple[tuple, ...]
+    __slots__ = ("field", "rows")
+
+    def __init__(self, field: FieldSpec, rows: tuple[tuple, ...]) -> None:
+        set_field(self, "field", field)
+        set_field(self, "rows", rows)
 
     @classmethod
     def of(cls, field: FieldSpec, rows) -> "Matrix":
@@ -123,7 +127,9 @@ class Matrix:
     @classmethod
     def identity(cls, n: int, field: FieldSpec) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        # Row i is the n entries of line from n - 1 - i on: its one at i.
+        line = (zero,) * (n - 1) + (one,) + (zero,) * (n - 1)
+        return cls(field, tuple(line[n - 1 - i:2 * n - 1 - i] for i in range(n)))
 
     @property
     def n(self) -> int:
@@ -153,21 +159,25 @@ class Matrix:
         return self.body_text()
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     """One program step: ``x_target := coeffs . X`` against the current X."""
 
-    target: int
-    coeffs: Vector
+    __slots__ = ("target", "coeffs")
+
+    def __init__(self, target: int, coeffs: Vector) -> None:
+        set_field(self, "target", target)
+        set_field(self, "coeffs", coeffs)
 
 
-@dataclass(frozen=True)
-class StraightLineProgram:
+class StraightLineProgram(Record):
     """Ordered single-target linear assignments, executed in place."""
 
-    field: FieldSpec
-    n: int
-    steps: tuple[Assignment, ...]
+    __slots__ = ("field", "n", "steps")
+
+    def __init__(self, field: FieldSpec, n: int, steps: tuple[Assignment, ...]) -> None:
+        set_field(self, "field", field)
+        set_field(self, "n", n)
+        set_field(self, "steps", steps)
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -27,8 +27,6 @@ checked against the program_symbolic oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError
 from .matrix import (
     Assignment,
@@ -38,10 +36,10 @@ from .matrix import (
     row_backend,
     seq_program,
 )
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class InSituCoding:
+class InSituCoding(Record):
     """Compact form of a sequentialization: the matrix whose in-place
     program is the first n steps, plus one optional fix-up partner per row.
 
@@ -49,22 +47,23 @@ class InSituCoding:
     end, or None when row i needs no fix-up.  The last row never has one.
     """
 
-    matrix: Matrix
-    fixups: tuple[int | None, ...]
+    __slots__ = ("matrix", "fixups")
 
-    def __post_init__(self) -> None:
-        n = self.matrix.n
-        if len(self.fixups) != n:
+    def __init__(self, matrix: Matrix, fixups: tuple[int | None, ...]) -> None:
+        n = matrix.n
+        if len(fixups) != n:
             raise PreconditionError("need one fix-up slot per row")
-        for i, j in enumerate(self.fixups):
+        for i, j in enumerate(fixups):
             if j is None:
                 continue
             if not i < j < n:
                 raise PreconditionError(
                     f"fix-up partner for row {i + 1} must lie strictly below it"
                 )
-        if self.fixups[n - 1] is not None:
+        if fixups[n - 1] is not None:
             raise PreconditionError("the last row cannot have a fix-up partner")
+        set_field(self, "matrix", matrix)
+        set_field(self, "fixups", fixups)
 
     @property
     def fixups_one_based(self) -> tuple[int, ...]:
@@ -76,17 +75,17 @@ class InSituCoding:
         return cls(matrix, tuple(None if v == 0 else v - 1 for v in values))
 
 
-@dataclass(frozen=True)
-class PermCoding:
+class PermCoding(Record):
     """Compact form of the row-exchange method: matrix plus the permutation
     mapping each output position to the input row it realizes."""
 
-    matrix: Matrix
-    perm: tuple[int, ...]
+    __slots__ = ("matrix", "perm")
 
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(self.matrix.n)):
+    def __init__(self, matrix: Matrix, perm: tuple[int, ...]) -> None:
+        if sorted(perm) != list(range(matrix.n)):
             raise PreconditionError("perm must be a permutation of the row indices")
+        set_field(self, "matrix", matrix)
+        set_field(self, "perm", perm)
 
     @property
     def perm_one_based(self) -> tuple[int, ...]:

@@ -258,6 +258,17 @@ def test_non_utf8_stdin_exits_one():
     assert len(err.splitlines()) == 1
 
 
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Every CLI call is a new process that pays for each module the CLI
+    # imports; -S keeps the site hook's own imports out of the check.
+    src = str(Path(seqmat.__file__).resolve().parents[1])
+    code = "import sys, seqmat.cli; print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
+
+
 def test_closed_stdin_exits_one(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", None)
     code, out, err = run(capsys, "smatrix", "-")

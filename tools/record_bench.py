@@ -28,6 +28,13 @@ from that commit.  Last, per checkout and workload, it runs
 once, S being the first of --seeds, and records that run's per-layer
 metrics (call counts and self time per span, counters, tracing
 overhead) under "traced".
+
+Both checkouts run in the same bytecode state: before every run this
+deletes each __pycache__ directory under the checkout's src/, and the
+run gets PYTHONDONTWRITEBYTECODE=1, so every process compiles seqmat
+from source and writes no cache.  A stale cache on one side and a fresh
+one on the other would otherwise move the cli workload's start-up time.
+The file records this policy under "bytecode".
 Standard library only.
 """
 
@@ -37,6 +44,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 20
+BYTECODE = "src/**/__pycache__ deleted before every run; runs get PYTHONDONTWRITEBYTECODE=1"
 
 
 def checkout_info(repo: Path) -> dict:
@@ -67,9 +76,12 @@ def cpu_model() -> str:
 
 
 def run_bench(repo: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    for cache in (repo / "src").rglob("__pycache__"):
+        shutil.rmtree(cache)
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=repo, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(cmd, cwd=repo, capture_output=True, text=True, env=env)
     if done.returncode != 0:
         sys.exit(f"error: bench/run.py --workload {workload} --seed {seed} --trace {trace} "
                  f"exited {done.returncode}: {done.stderr.strip()}")
@@ -127,6 +139,7 @@ def main() -> int:
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "cpu": cpu_model(),
+        "bytecode": BYTECODE,
         "checkouts": {side: checkout_info(repo) for side, repo in sides.items()},
         "workloads": {},
     }
