@@ -54,109 +54,87 @@ def _parse_units(text: str, field: FieldSpec, n: int) -> Vector:
     return Vector(field, tuple(field.parse_scalar(p) for p in parts))
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
+# -- handlers: each returns the text it prints ------------------------------
 
 
-# -- handlers ---------------------------------------------------------------
-
-
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> str:
     M = _load_matrix(args.matrix)
     X = parse_vector(_read(args.vector))
     out = parallel_apply(M, X) if args.mode == "parallel" else seq_apply(M, X)
-    _emit(format_vector(out))
-    return 0
+    return format_vector(out)
 
 
-def _cmd_smatrix(args) -> int:
-    _emit(format_matrix(seq_matrix(_load_matrix(args.matrix))))
-    return 0
+def _cmd_smatrix(args) -> str:
+    return format_matrix(seq_matrix(_load_matrix(args.matrix)))
 
 
-def _cmd_program(args) -> int:
-    _emit(format_program(seq_program(_load_matrix(args.matrix))))
-    return 0
+def _cmd_program(args) -> str:
+    return format_program(seq_program(_load_matrix(args.matrix)))
 
 
-def _cmd_sequentialize(args) -> int:
+def _cmd_sequentialize(args) -> str:
     M = _load_matrix(args.matrix)
     if args.method == "perm":
         program, coding = sequentialize_perm(M)
     else:
         program, coding = sequentialize(M)
-    _emit(format_program(program))
-    _emit("\n")
-    _emit(format_coding(coding))
-    return 0
+    return format_program(program) + "\n" + format_coding(coding)
 
 
-def _cmd_preimage(args) -> int:
+def _cmd_preimage(args) -> str:
     found = preimage_search(_load_matrix(args.matrix))
-    _emit("none\n" if found is None else format_matrix(found))
-    return 0
+    return "none\n" if found is None else format_matrix(found)
 
 
-def _cmd_regularize(args) -> int:
+def _cmd_regularize(args) -> str:
     M = _load_matrix(args.matrix)
     if args.trace:
-        _emit("\n".join(format_matrix(step) for step in regularize_trace(M)))
-        return 0
+        return "\n".join(format_matrix(step) for step in regularize_trace(M))
     ones = Vector(M.field, (M.field.one,) * M.n)
     units = ones if args.units is None else _parse_units(args.units, M.field, M.n)
-    _emit(format_matrix(regularize_general(M, units)))
-    return 0
+    return format_matrix(regularize_general(M, units))
 
 
-def _cmd_phi(args) -> int:
-    _emit(format_matrix(phi(_load_matrix(args.matrix))))
-    return 0
+def _cmd_phi(args) -> str:
+    return format_matrix(phi(_load_matrix(args.matrix)))
 
 
-def _cmd_orbit(args) -> int:
+def _cmd_orbit(args) -> str:
     report = orbit(_load_matrix(args.matrix), args.max_iter)
-    _emit(f"cycle_length {report.cycle_length}\n")
-    return 0
+    return f"cycle_length {report.cycle_length}\n"
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> str:
     report = census(args.n, force=args.force)
-    for length, count in report.histogram.items():
-        _emit(f"{length} {count}\n")
-    _emit(f"max {report.max_cycle_length}\n")
-    return 0
+    lines = [f"{length} {count}\n" for length, count in report.histogram.items()]
+    return "".join(lines) + f"max {report.max_cycle_length}\n"
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> str:
     a = _load_matrix(args.matrix)
     b = _load_matrix(args.other)
-    _emit("true\n" if seq_equivalent(a, b) else "false\n")
-    return 0
+    return "true\n" if seq_equivalent(a, b) else "false\n"
 
 
-def _cmd_graph_constructs(args) -> int:
+def _cmd_graph_constructs(args) -> str:
     G = Digraph(_load_matrix(args.matrix))
-    _emit(format_matrix(constructs(G).adjacency))
-    return 0
+    return format_matrix(constructs(G).adjacency)
 
 
-def _cmd_graph_chain(args) -> int:
+def _cmd_graph_chain(args) -> str:
     G = Digraph(_load_matrix(args.matrix))
     out = chain_rewrite(G, args.p, args.q, args.i, args.j)
-    _emit(format_matrix(out.adjacency))
-    return 0
+    return format_matrix(out.adjacency)
 
 
-def _cmd_graph_linorder(args) -> int:
+def _cmd_graph_linorder(args) -> str:
     G = Digraph(_load_matrix(args.matrix))
     out = linorder_rewrite(G, args.p, args.q)
-    _emit(format_matrix(out.adjacency))
-    return 0
+    return format_matrix(out.adjacency)
 
 
-def _cmd_graph_dot(args) -> int:
-    _emit(to_dot(Digraph(_load_matrix(args.matrix))))
-    return 0
+def _cmd_graph_dot(args) -> str:
+    return to_dot(Digraph(_load_matrix(args.matrix)))
 
 
 # -- parser -----------------------------------------------------------------
@@ -263,7 +241,8 @@ def main(argv=None) -> int:
     if [getattr(args, name, None) for name in ("matrix", "vector", "other")].count("-") > 1:
         parser.error("standard input ('-') can be read for at most one argument")
     try:
-        return args.handler(args)
+        sys.stdout.write(args.handler(args))
+        return 0
     except (SeqmatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

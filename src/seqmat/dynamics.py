@@ -19,7 +19,10 @@ the level-(k-1) cycle.  orbit walks the one cycle of rows 0..n-2
 through its start and then the start's last row under F; census walks
 every level, each level-k cycle giving the level-(k+1) walks over it,
 and walks the cycles of each distinct F once per level: many cycles
-compose the same F.
+compose the same F.  Both check that each F they walk is invertible
+(one rank test on its n-1 columns), so every fiber walk is a cycle
+through its start and stays bounded; census also checks that each
+level walk returns to its start.
 trajectory, which returns every matrix, takes plain full steps.
 """
 
@@ -148,12 +151,23 @@ def _apply(cols: list[int], y: int) -> int:
     return out
 
 
-def orbit(
-    M0: Matrix,
-    max_iter: int = DEFAULT_MAX_ITER,
-    *,
-    verify_pure_cycle: bool = False,
-) -> OrbitReport:
+def _require_invertible(cols: list[int]) -> None:
+    """InvariantViolation unless the GF(2)-linear map with these columns
+    is invertible: its columns, reduced one at a time against a pivot
+    per top bit, must all be independent."""
+    pivots: dict[int, int] = {}
+    for col in cols:
+        while col:
+            top = col.bit_length()
+            if top not in pivots:
+                pivots[top] = col
+                break
+            col ^= pivots[top]
+        else:
+            raise InvariantViolation("composed fiber map F is singular")
+
+
+def orbit(M0: Matrix, max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
     """Iterate regularize from M0 until M0 recurs; the recurrence index is
     the cycle length.
 
@@ -164,12 +178,15 @@ def orbit(
     as soon as the cycle length would pass max_iter, so orbit returns
     exactly when it is at most max_iter.
 
-    Production mode compares each base state and each fiber vector with
-    M0's only: O(1) memory besides the n-1 columns of F.  With
-    verify_pure_cycle each walk keeps a visited set (up to L_b base
-    states and m vectors) and any repeat that is not the start raises
-    InvariantViolation: such a rho-shaped orbit would contradict
-    regularize being invertible on regular matrices.
+    Each walk compares its state with M0's only, so orbit needs O(1)
+    memory besides the n-1 columns of F.  Between the walks F must be
+    invertible (_require_invertible), else InvariantViolation: a singular
+    F would send the last row onto a rho-shaped walk that never returns.
+    A base walk that never returns, which would equally contradict
+    regularize being invertible on regular matrices, runs out of steps
+    and raises GuardError.  That no state but the start repeats is left
+    to the tests, which compare orbit with a plain walk that keeps every
+    state.
 
     Each base step runs regularize on a word of 2n-2 rows, not n, which
     costs up to about twice a plain step at n >= 32: there an orbit whose
@@ -182,36 +199,21 @@ def orbit(
         raise PreconditionError("max_iter must be at least 1")
     tower = _Tower(M0.n, M0.n - 1)
     plan, basemask = tower.plan, tower.base
-    start = pack_gf2_rows(M0)
-    base, y0 = tower.split(start)
-    seen = {base} if verify_pure_cycle else None
+    base, y0 = tower.split(pack_gf2_rows(M0))
     word = base | tower.units
     for length in range(1, max_iter + 1):
         word = regularize_packed(word, plan)
-        cur = word & basemask
-        if cur == base:
+        if word & basemask == base:
             break
-        if seen is not None:
-            if cur in seen:
-                raise InvariantViolation(
-                    f"orbit base walk revisited a non-start state after {length} steps"
-                )
-            seen.add(cur)
     else:
         raise GuardError(f"no recurrence within max_iter={max_iter} steps")
     cols = tower.columns(word)
-    seen = {y0} if verify_pure_cycle else None
+    _require_invertible(cols)
     y = y0
     for m in range(1, max_iter // length + 1):
         y = _apply(cols, y)
         if y == y0:
             return OrbitReport(M0, length * m)
-        if seen is not None:
-            if y in seen:
-                raise InvariantViolation(
-                    f"orbit fiber walk revisited a non-start vector after {m} steps of F"
-                )
-            seen.add(y)
     raise GuardError(f"no recurrence within max_iter={max_iter} steps")
 
 
@@ -236,9 +238,9 @@ def trajectory(M0: Matrix, steps: int) -> list[Matrix]:
 def _fiber_cycles(cols: list[int]) -> tuple[tuple[int, int], ...]:
     """(first vector, length) of each cycle of the GF(2)-linear map with
     these columns on all 2**len(cols) vectors, ordered by first vector;
-    InvariantViolation if it is not a bijection: a walk that reaches a
-    vector of an earlier cycle, or one that takes more steps than there
-    are vectors without returning to its start."""
+    InvariantViolation if the map is not invertible (_require_invertible),
+    so that every walk is a cycle through its first vector."""
+    _require_invertible(cols)
     image = [0]
     for col in cols:
         image += [w ^ col for w in image]
@@ -251,17 +253,11 @@ def _fiber_cycles(cols: list[int]) -> tuple[tuple[int, int], ...]:
             continue
         w = v
         for m in steps:
+            seen[w] = 1
             w = image[w]
             if w == v:
                 break
-            if seen[w]:
-                raise InvariantViolation("fiber walk reached a previously visited non-start vector")
-        else:
-            raise InvariantViolation(f"fiber walk took {size} steps without returning to its start")
         cycles.append((v, m))
-        for _ in steps[:m]:
-            seen[w] = 1
-            w = image[w]
     return tuple(cycles)
 
 
@@ -277,12 +273,12 @@ def census(n: int, *, force: bool = False) -> CensusReport:
     looked up, so nothing scales with the 2**(n*n - n) matrices but the
     walking.
 
-    _fiber_cycles walks F and checks that it is a bijection; a skew
-    product of bijections over a bijection is one, so every orbit is a
-    pure cycle.  Its cycles are kept per level, keyed by F's columns, so
-    each distinct F is walked once per level; the last level keeps only
-    how many vectors lie on cycles of each length, and equal cycle lists
-    are stored once.
+    _fiber_cycles checks by a rank test that F is a bijection, and each
+    level walk must return to its start; a skew product of bijections
+    over a bijection is one, so every orbit is a pure cycle.  F's cycles
+    are kept per level, keyed by F's columns, so each distinct F is
+    walked once per level; the last level keeps only how many vectors
+    lie on cycles of each length, and equal cycle lists are stored once.
 
     Guarded at n <= CENSUS_MAX_N unless force is given, and refused even
     with force past 2**CENSUS_MAX_STEP_BITS steps of the last level.

@@ -60,8 +60,6 @@ class InSituCoding(Record):
                 raise PreconditionError(
                     f"fix-up partner for row {i + 1} must lie strictly below it"
                 )
-        if fixups[n - 1] is not None:
-            raise PreconditionError("the last row cannot have a fix-up partner")
         set_field(self, "matrix", matrix)
         set_field(self, "fixups", fixups)
 

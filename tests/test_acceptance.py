@@ -45,6 +45,7 @@ from seqmat import (
     sequentialize,
     sequentialize_perm,
 )
+from test_dynamics import _plain_orbit
 
 
 def _ok(num: int, label: str) -> None:
@@ -174,13 +175,14 @@ def test_criterion_07_dynamics_structural_laws():
         assert phi(regularize(M)) == M
 
     # pure cycles: census raises unless every level walk returns to its
-    # start and every composed fiber map is a bijection
+    # start and every composed fiber map is a bijection; _plain_orbit
+    # asserts that no matrix but the start repeats
     census(3)
     census(4)
     rng = random.Random(2017)
     for _ in range(100):
         M = random_regular_gf2(rng, 10)
-        orbit(M, verify_pure_cycle=True)
+        assert orbit(M).cycle_length == _plain_orbit(M)
     _ok(7, "inverse law on all 4096 regular 4x4; every orbit a pure cycle")
 
 

@@ -1,5 +1,7 @@
-"""Orbits and censuses of the regular-constructor map on GF(2) matrices."""
+"""Orbits and censuses of the regular-constructor map on GF(2) matrices,
+and a tests-only walk of the unit-diagonal map over GF(p)."""
 
+import itertools
 import json
 import random
 import time
@@ -14,16 +16,19 @@ from conftest import all_regular_gf2_matrices, random_regular_gf2
 from seqmat import (
     GF2,
     Matrix,
+    Vector,
     census,
     gfp,
     is_regular,
     load_orbit_seed,
     orbit,
+    parse_matrix,
     phi,
     regularize,
+    regularize_general,
     trajectory,
 )
-from seqmat.dynamics import _fiber_cycles, _Tower
+from seqmat.dynamics import _apply, _fiber_cycles, _require_invertible, _Tower
 from seqmat.errors import GuardError, InvariantViolation, PreconditionError
 from seqmat.regularize import regularize_packed
 from test_regularize import _reference_packed
@@ -106,24 +111,21 @@ def test_orbit_verification_catches_non_injective_map(monkeypatch):
     # The base walk sees rows 0..1 only: every step lands on I's base rows
     # e_0, e_1 (a word's row k holds its diagonal bit at k*3 + k), so
     # start -> I -> I -> ... is a rho-shaped base walk that never returns.
+    # orbit compares each state with the start's only, so it runs out of
+    # steps.
     monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map(0b100_010_001))
-    with pytest.raises(InvariantViolation, match="base walk revisited"):
-        orbit(start, 50, verify_pure_cycle=True)
-    # production mode only compares against the start, so it runs out of steps
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match="max_iter=50 steps"):
         orbit(start, 50)
 
 
 def test_orbit_fiber_walk_catches_singular_product(monkeypatch):
     # The start's base rows e_0, e_1 are a fixed point of the real base
-    # map (L_b = 1), but F = 0: the last row's y0 = e_0 goes to 0, which
-    # F fixes, a rho-shaped fiber walk that never returns to y0.
+    # map (L_b = 1), but F = 0: the last row's y0 = e_0 would go to 0,
+    # which F fixes, a rho-shaped fiber walk that never returns to y0.
+    # The invertibility check refuses F before the fiber walk starts.
     start = Matrix.of(GF2, [[1, 0, 0], [0, 1, 0], [1, 0, 1]])
     monkeypatch.setattr("seqmat.dynamics.regularize_packed", _keep_base_rows)
-    with pytest.raises(InvariantViolation, match="fiber walk revisited"):
-        orbit(start, 50, verify_pure_cycle=True)
-    # production mode only compares against y0, so it runs out of steps
-    with pytest.raises(GuardError):
+    with pytest.raises(InvariantViolation, match="fiber map F is singular"):
         orbit(start, 50)
 
 
@@ -152,20 +154,43 @@ def test_census_level_walk_catches_moving_row_0(monkeypatch):
 
 def test_census_fiber_walk_catches_singular_product(monkeypatch):
     # The real map, but every row past row 1 is zeroed: at level 1 of
-    # census(3) the unit row of row 1's e_2 goes to 0, a fixed point that
-    # an earlier walk met.
+    # census(3) the unit row of row 1's e_2 goes to 0, a zero column of F,
+    # whose fiber walk would reach a fixed point that an earlier walk met.
     monkeypatch.setattr("seqmat.dynamics.regularize_packed", _keep_base_rows)
-    with pytest.raises(InvariantViolation, match="fiber walk reached a previously visited"):
+    with pytest.raises(InvariantViolation, match="fiber map F is singular"):
         census(3)
 
 
 def test_census_fiber_walk_catches_rho_shaped_walk(monkeypatch):
     # Both unit rows of a level-0 word of census(3) become 0b100, row 0's
     # unit vector e_2, packed as e_1: F e_0 = F e_1 = e_1.  The walk
-    # e_0 -> e_1 -> e_1 -> ... meets no earlier cycle and never returns.
+    # e_0 -> e_1 -> e_1 -> ... would meet no earlier cycle and never return.
     monkeypatch.setattr("seqmat.dynamics.regularize_packed", _constant_map(0b100_100))
-    with pytest.raises(InvariantViolation, match="took 4 steps without returning"):
+    with pytest.raises(InvariantViolation, match="fiber map F is singular"):
         census(3)
+
+
+@pytest.mark.parametrize("b", [0, 1, 2, 3])
+def test_require_invertible_matches_brute_force(b):
+    # Every list of b columns of b bits: the rank test refuses exactly the
+    # maps that are not a permutation of the 2**b vectors.
+    vectors = range(1 << b)
+    for cols in itertools.product(vectors, repeat=b):
+        if len({_apply(cols, y) for y in vectors}) == 1 << b:
+            _require_invertible(list(cols))
+        else:
+            with pytest.raises(InvariantViolation, match="fiber map F is singular"):
+                _require_invertible(list(cols))
+
+
+def test_fiber_cycles_keeps_no_walk_time_check(monkeypatch):
+    # With the rank test stubbed out, a singular map goes through
+    # _fiber_cycles unrefused, and its walks still end: each is bounded
+    # by the number of vectors.  F e_0 = F e_1 = e_1 is the rho-shaped walk
+    # of the census stub above.
+    monkeypatch.setattr("seqmat.dynamics._require_invertible", lambda cols: None)
+    assert _fiber_cycles([0b10, 0b10]) == ((0, 1), (1, 4), (3, 4))
+    assert _fiber_cycles([0, 0]) == ((0, 1), (1, 4), (2, 4), (3, 4))
 
 
 def test_fiber_cycles_first_vectors_and_lengths():
@@ -195,12 +220,11 @@ def test_orbit_preconditions():
 
 
 def test_orbit_pure_cycle_verification_random_n10():
+    # _plain_orbit asserts that no matrix but the start repeats.
     rng = random.Random(16)
     for _ in range(10):
         M = random_regular_gf2(rng, 10)
-        plain = orbit(M)
-        verified = orbit(M, verify_pure_cycle=True)
-        assert plain.cycle_length == verified.cycle_length
+        assert orbit(M).cycle_length == _plain_orbit(M)
 
 
 def test_bundled_seed_matrix_shape():
@@ -226,14 +250,13 @@ def test_orbit_max_iter_boundary_on_seed(monkeypatch):
         return regularize_packed(word, plan)
 
     monkeypatch.setattr("seqmat.dynamics.regularize_packed", counted)
-    for verify in (False, True):
-        assert orbit(seed, 13122, verify_pure_cycle=verify).cycle_length == 13122
-        for max_iter in (13121, 8748, 4374, 4373, 100):
-            steps.clear()
-            with pytest.raises(GuardError, match=f"max_iter={max_iter} steps"):
-                orbit(seed, max_iter, verify_pure_cycle=verify)
-            # the base walk takes at most max_iter steps
-            assert len(steps) == min(max_iter, 4374)
+    assert orbit(seed, 13122).cycle_length == 13122
+    for max_iter in (13121, 8748, 4374, 4373, 100):
+        steps.clear()
+        with pytest.raises(GuardError, match=f"max_iter={max_iter} steps"):
+            orbit(seed, max_iter)
+        # the base walk takes at most max_iter steps
+        assert len(steps) == min(max_iter, 4374)
 
 
 # -- the tower orbit against a plain full-step walk --------------------------------
@@ -257,7 +280,6 @@ def test_orbit_matches_plain_walk_exhaustive(n):
     for M in all_regular_gf2_matrices(n):
         length = _plain_orbit(M)
         assert orbit(M).cycle_length == length
-        assert orbit(M, verify_pure_cycle=True).cycle_length == length
 
 
 @settings(max_examples=80, deadline=None)
@@ -266,7 +288,6 @@ def test_orbit_matches_plain_walk_random(n, seed):
     M = random_regular_gf2(random.Random(seed), n)
     length = _plain_orbit(M)
     assert orbit(M).cycle_length == length
-    assert orbit(M, verify_pure_cycle=True).cycle_length == length
 
 
 def test_orbit_matches_pinned_bench_orbits():
@@ -278,7 +299,6 @@ def test_orbit_matches_pinned_bench_orbits():
         rows = [int(h, 16) for h in ref["rows"]]
         M = Matrix.of(GF2, [[(r >> t) & 1 for t in range(n)] for r in rows])
         assert orbit(M).cycle_length == ref["length"]
-        assert orbit(M, verify_pure_cycle=True).cycle_length == ref["length"]
 
 
 # -- trajectories ----------------------------------------------------------------
@@ -477,3 +497,69 @@ def test_census_6_data_file():
     rng = random.Random(6)
     for _ in range(50):
         assert orbit(random_regular_gf2(rng, 6)).cycle_length in histogram
+
+
+# -- the map over GF(p): a tests-only walk on regularize_general ---------------
+
+GFP5_CYCLE_300 = Path(__file__).parent / "data" / "gfp5_cycle_300.txt"
+
+
+def _unit_cycle(M):
+    """The rows of every matrix on the cycle of M -> regularize_general(M,
+    all ones) through M, walked one full step at a time; asserts that
+    every matrix on the way keeps an all-ones diagonal and that none but M
+    repeats, so the walk ends within as many steps as there are matrices."""
+    ones = Vector(M.field, (M.field.one,) * M.n)
+    seen = {M.rows}
+    cur = regularize_general(M, ones)
+    while cur != M:
+        assert all(cur.rows[i][i] == 1 for i in range(M.n))
+        assert cur.rows not in seen
+        seen.add(cur.rows)
+        cur = regularize_general(cur, ones)
+    return seen
+
+
+def _unit_census(field, n):
+    """Cycle-length histogram (matrices per length) of the map over every
+    n x n matrix with an all-ones diagonal.  Every walk is a cycle through
+    its start, and the cycles cover every matrix, so the map is a
+    bijection on them."""
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    covered, histogram = set(), {}
+    for values in itertools.product(range(field.modulus), repeat=len(off)):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(off, values):
+            rows[i][j] = v
+        M = Matrix.of(field, rows)
+        if M.rows not in covered:
+            cycle = _unit_cycle(M)
+            covered |= cycle
+            histogram[len(cycle)] = histogram.get(len(cycle), 0) + len(cycle)
+    assert len(covered) == field.modulus ** len(off)
+    return dict(sorted(histogram.items()))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_unit_walk_reproduces_gf2_census(n):
+    assert _unit_census(GF2, n) == census(n).histogram
+
+
+@pytest.mark.parametrize("p, histogram", [
+    (3, {1: 165, 2: 12, 3: 276, 4: 48, 6: 132, 12: 96}),
+    (5, {1: 1305, 2: 80, 3: 480, 4: 480, 5: 4720, 6: 480, 10: 2320, 15: 1920, 20: 1920,
+         30: 1920}),
+])
+def test_unit_walk_histograms_gfp_n3(p, histogram):
+    assert _unit_census(gfp(p), 3) == histogram
+
+
+def test_unit_walk_gf5_cycle_past_p_times_p_plus_1_power():
+    # The GF(2) bound 2*3**(n-2) read as p*(p+1)**(n-2) holds for p = 3
+    # and 7 on every set sampled, but not for p = 5: this 4x4 matrix lies
+    # on a 300-cycle, past 5 * 6**2 = 180.  It is the first sample of a
+    # search over random.Random(20261019), the off-diagonal entries drawn
+    # row by row with randrange(5).
+    M = parse_matrix(GFP5_CYCLE_300.read_text())
+    assert (M.field, M.n) == (gfp(5), 4)
+    assert len(_unit_cycle(M)) == 300

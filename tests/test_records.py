@@ -161,6 +161,7 @@ def test_field_spec_default_modulus():
     (lambda: FieldSpec(FieldKind.GFP, 9), "modulus 9 is not prime"),
     (lambda: InSituCoding(_m2(), (None,)), "need one fix-up slot per row"),
     (lambda: InSituCoding(_m2(), (0, None)), "fix-up partner for row 1 must lie strictly below it"),
+    (lambda: InSituCoding(_m2(), (None, 1)), "fix-up partner for row 2 must lie strictly below it"),
     (lambda: PermCoding(_m2(), (0, 0)), "perm must be a permutation of the row indices"),
     (lambda: Digraph(Matrix(GF7, ((1,),))), "digraph adjacency requires a GF(2) matrix, got gfp 7"),
 ])

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIELDS, GF7, random_matrix
 from seqmat import (
@@ -198,19 +200,63 @@ def all_matrices(field, n):
         yield Matrix.of(field, [flat[i * n : (i + 1) * n] for i in range(n)])
 
 
+def _rank(rows, p):
+    """Rank over GF(p) of a list of rows of ints, by Gaussian elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] * inv
+            rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 @pytest.mark.parametrize(
     "field,n,constructible",
-    [(GF2, 1, 2), (GF2, 2, 12), (GF2, 3, 248), (GF3, 1, 3), (GF3, 2, 63), (gfp(5), 2, 525)],
+    [(GF2, 1, 2), (GF2, 2, 12), (GF2, 3, 248), (GF3, 1, 3), (GF3, 2, 63), (gfp(5), 2, 525),
+     pytest.param(GF2, 4, 18800, marks=pytest.mark.slow)],
 )
 def test_preimage_matches_full_image_map(field, n, constructible):
     # the image map keeps, for each seq_matrix(P), the first P in
-    # row-major lexicographic order
-    first = {}
+    # row-major lexicographic order, and counts the P of each class
+    first, size = {}, {}
     for P in all_matrices(field, n):
-        first.setdefault(seq_matrix(P), P)
+        T = seq_matrix(P)
+        first.setdefault(T, P)
+        size[T] = size.get(T, 0) + 1
     assert len(first) == constructible
     for M in all_matrices(field, n):
         assert preimage_search(M) == first.get(M)
+    # the class-size law: row i of a constructor of T is any solution y of
+    # y * T[:i, :i] = T[i, :i], followed by a z that y fixes
+    p = field.modulus
+    for T, count in size.items():
+        free = sum(i - _rank([row[:i] for row in T.rows[:i]], p) for i in range(n))
+        assert count == p**free
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from([GF2, GF3, GF7, gfp(2**31 - 1), RATIONAL]),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_constructor_is_an_lu_factorisation(field, n, seed):
+    # With Ls the strictly lower part of P and U its upper part, diagonal
+    # included: (I - Ls) * seq_matrix(P) == U.
+    P = random_matrix(random.Random(seed), field, n)
+    S = seq_matrix(P).rows
+    p = field.modulus
+    for i, row in enumerate(P.rows):
+        for c in range(n):
+            lhs = S[i][c] - sum(row[k] * S[k][c] for k in range(i))
+            assert (lhs if p is None else lhs % p) == (row[c] if c >= i else 0)
 
 
 def test_preimage_recovers_source_with_nonzero_diagonal():
