@@ -13,8 +13,9 @@ Three routes:
   swapping the offending row up; coded as (matrix, permutation).
 * preimage_search: the converse question, whether some matrix has an
   in-place interpretation equal to the ordinary interpretation of the
-  target.  Over a finite field it is answered by one leading-block
-  linear solve per row, which also picks the lexicographically first
+  target.  Over a finite field it is answered by one forward
+  elimination over the target's rows, O(n^3), which solves every row's
+  leading-block system at once and picks the lexicographically first
   such matrix.
 
 Both compilers, and regularize_general in the regularize module, are one
@@ -181,54 +182,56 @@ def preimage_search(M: Matrix):
     """First matrix P (row-major lexicographic order on canonical entries)
     with seq_matrix(P) = M, or None when no such matrix exists.
 
-    The rows of P are independent linear systems.  Step i of P's
-    in-place program replaces row i of the running coefficient matrix C
-    and no later step touches it, so if seq_matrix(P) = M then, just
-    before step i, the rows of C are M's rows 0..i-1 followed by the
-    unit rows e_i..e_(n-1), whatever P's earlier rows are.  Row i of P
-    is therefore any (y, z) with y * M[:i, :i] = M[i, :i] and
-    z = M[i, i:] - y * M[:i, i:]; the first P takes the first y of
-    every row (see _first_solution).  O(n^4) entry operations, no guard.
+    Step i of P's in-place program replaces row i of the running
+    coefficient matrix C and no later step touches it, so if
+    seq_matrix(P) = M then, just before step i, the rows of C are M's
+    rows 0..i-1 followed by the unit rows e_i..e_(n-1), whatever P's
+    earlier rows are.  Row i of P is therefore any (y, z) with
+    y * M[:i, :i] = M[i, :i] and z = M[i, i:] - y * M[:i, i:].  The
+    solutions y differ by the left null space of M[:i, :i], so the first
+    y is the one that is 0 at the leading (lowest nonzero) position of
+    every vector of that null space.
+
+    One forward pass finds every row's first y.  It works on augmented
+    rows a = [w | w * M] mod p, where w is the combination of M's rows,
+    and keeps two structures before row i:
+
+    * live: one vector per leading position of its w part, together a
+      basis of the left null space of M[:i, :i]; their w * M part is 0
+      on every column below i.
+    * pivots: in column order, the vector that cleared column c; its
+      w * M part is 0 on the columns below c and nonzero at c.
+
+    Row i enters as [e_i | M[i]] and is reduced by pivots in column
+    order, which leaves M[i, :i] - y * M[:i, :i] = 0 exactly when a
+    solution exists, then by live in ascending lead order, which zeroes
+    y at every lead.  Then a joins live, and column i leaves: among the
+    live vectors reading it, the one with the largest lead clears it
+    from the others (their leads stay put) and moves to pivots.
+    O(n^3) entry operations, no guard.
     """
     field = M.field
     p = field.modulus
     if p is None:
         raise PreconditionError("preimage search needs a finite field")
-    found = []
-    for i, target in enumerate(M.rows):
-        above = M.rows[:i]
-        # one equation per column c < i: sum_k y_k * M[k][c] = M[i][c]
-        y = _first_solution([[row[c] for row in above] + [target[c]] for c in range(i)], p)
-        if y is None:
+    n = M.n
+    pivots, live, found = [], {}, []
+    for i, row in enumerate(M.rows):
+        a = [0] * i + [1] + [0] * (n - 1 - i) + list(row)
+        for k, v in pivots + sorted(live.items()):
+            if a[k]:
+                f = a[k] * pow(v[k], -1, p) % p
+                a = [(x - f * y) % p for x, y in zip(a, v)]
+        if any(a[n : n + i]):
             return None
-        z = [(target[c] - sum(a * row[c] for a, row in zip(y, above))) % p for c in range(i, M.n)]
-        found.append(tuple(y + z))
+        found.append(tuple([-x % p for x in a[:i]] + a[n + i :]))
+        live[next(k for k, x in enumerate(a) if x)] = a
+        readers = [lead for lead in sorted(live) if live[lead][n + i]]
+        if readers:
+            v = live.pop(readers[-1])
+            for lead in readers[:-1]:
+                w = live[lead]
+                f = w[n + i] * pow(v[n + i], -1, p) % p
+                live[lead] = [(x - f * y) % p for x, y in zip(w, v)]
+            pivots.append((n + i, v))
     return Matrix(field, tuple(found))
-
-
-def _first_solution(equations: list[list[int]], p: int) -> list[int] | None:
-    """Lexicographically first y with sum_k y_k * eq[k] = eq[-1] (mod p)
-    for every equation, or None when there is none.
-
-    Forward elimination takes the unknowns from the last down to y_0, so
-    each pivot unknown is left depending only on earlier unknowns; with
-    every free unknown 0, back substitution upwards gives the first y.
-    """
-    y = [0] * len(equations)
-    pivots = {}
-    for k in reversed(range(len(y))):
-        r = next((t for t, eq in enumerate(equations) if eq[k]), None)
-        if r is None:
-            continue  # y_k is free
-        inv = pow(equations[r][k], -1, p)
-        pivots[k] = pivot = [a * inv % p for a in equations.pop(r)]
-        for eq in equations:
-            f = eq[k]
-            if f:
-                eq[:] = [(a - f * b) % p for a, b in zip(eq, pivot)]
-    if any(eq[-1] for eq in equations):  # all their coefficients are 0
-        return None
-    for k in sorted(pivots):  # y[k:] is still 0 here
-        pivot = pivots[k]
-        y[k] = (pivot[-1] - sum(a * b for a, b in zip(pivot, y))) % p
-    return y

@@ -295,9 +295,13 @@ def test_compile_golden_outputs(capsys, name):
 
 
 #: preimage inputs and outputs: GF(2) n = 4 with and without a constructor
-#: (outputs of the former exhaustive search), and seq_matrix(P) at n = 12
-#: over GF(7) and GF(2^31-1) for P with a nonzero diagonal, whose output
-#: is P.  CI diffs the same files.
+#: (outputs of the former exhaustive search); seq_matrix(P) at n = 12 over
+#: GF(7) and GF(2^31-1) and at n = 64 over GF(2^31-1) for P with a nonzero
+#: diagonal, whose output is P; seq_matrix(P) over GF(3) at n = 24 for P
+#: with 8 zero rows, whose class has more than one member, so the output
+#: is the first of them and not P; and GF(2) n = 32 with no constructor,
+#: its first unsolvable row being row 21.  The last three are outputs of
+#: the former row-by-row solve.  CI diffs the same files.
 PREIMAGE_GOLDEN = Path(__file__).parent / "data" / "preimage_golden"
 
 

@@ -301,6 +301,28 @@ def test_orbit_matches_pinned_bench_orbits():
         assert orbit(M).cycle_length == ref["length"]
 
 
+# -- the GF(2) cycle-length bound 2 * 3**(n-2) at n = 7..9 ---------------------------
+
+ORBIT_BOUND = {n: Path(__file__).parent / "data" / f"gf2_orbit_bound_n{n}.txt" for n in (7, 8, 9)}
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_orbit_reaches_bound_on_pinned_matrix(n):
+    # The first sample of random_regular_gf2(random.Random(20261019), n)
+    # whose cycle reaches 2 * 3**(n-2): samples 74, 753 and 90 (0-based)
+    # at n = 7, 8 and 9.
+    M = parse_matrix(ORBIT_BOUND[n].read_text())
+    assert (M.field, M.n) == (GF2, n) and is_regular(M)
+    assert orbit(M).cycle_length == _plain_orbit(M) == 2 * 3 ** (n - 2)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_orbit_samples_stay_within_bound(n):
+    rng = random.Random(20261019)
+    lengths = [orbit(random_regular_gf2(rng, n)).cycle_length for _ in range(400)]
+    assert max(lengths) <= 2 * 3 ** (n - 2)
+
+
 # -- trajectories ----------------------------------------------------------------
 
 

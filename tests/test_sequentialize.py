@@ -259,14 +259,14 @@ def test_constructor_is_an_lu_factorisation(field, n, seed):
             assert (lhs if p is None else lhs % p) == (row[c] if c >= i else 0)
 
 
-def test_preimage_recovers_source_with_nonzero_diagonal():
+@pytest.mark.parametrize("n", [32, 128])
+def test_preimage_recovers_source_with_nonzero_diagonal(n):
     # The leading i x i block of seq_matrix(P) has determinant
     # P[0][0] * ... * P[i-1][i-1], so with a nonzero diagonal every row's
     # system has one solution and the first preimage is P itself.
     field = gfp(2**31 - 1)
     p = field.modulus
     rng = random.Random(1532)
-    n = 32
     P = Matrix.of(
         field,
         [[rng.randrange(1, p) if i == j else rng.randrange(p) for j in range(n)] for i in range(n)],
@@ -288,6 +288,86 @@ def test_preimage_is_at_most_any_source():
         Q = preimage_search(M)
         assert seq_matrix(Q) == M
         assert Q.rows <= P.rows
+
+
+def _reference_preimage(M):
+    """Reference for preimage_search, row by row: row i of the first P is
+    the lexicographically first y with y * M[:i, :i] = M[i, :i], followed
+    by z = M[i, i:] - y * M[:i, i:].  Each row's system is eliminated
+    afresh, O(n^4) in all."""
+    p = M.field.modulus
+    found = []
+    for i, target in enumerate(M.rows):
+        above = M.rows[:i]
+        # one equation per column c < i: sum_k y_k * M[k][c] = M[i][c]
+        y = _first_solution([[row[c] for row in above] + [target[c]] for c in range(i)], p)
+        if y is None:
+            return None
+        z = [(target[c] - sum(a * row[c] for a, row in zip(y, above))) % p for c in range(i, M.n)]
+        found.append(tuple(y + z))
+    return Matrix(M.field, tuple(found))
+
+
+def _first_solution(equations, p):
+    """Lexicographically first y with sum_k y_k * eq[k] = eq[-1] (mod p)
+    for every equation, or None when there is none.
+
+    Forward elimination takes the unknowns from the last down to y_0, so
+    each pivot unknown is left depending only on earlier unknowns; with
+    every free unknown 0, back substitution upwards gives the first y.
+    """
+    y = [0] * len(equations)
+    pivots = {}
+    for k in reversed(range(len(y))):
+        r = next((t for t, eq in enumerate(equations) if eq[k]), None)
+        if r is None:
+            continue  # y_k is free
+        inv = pow(equations[r][k], -1, p)
+        pivots[k] = pivot = [a * inv % p for a in equations.pop(r)]
+        for eq in equations:
+            f = eq[k]
+            if f:
+                eq[:] = [(a - f * b) % p for a, b in zip(eq, pivot)]
+    if any(eq[-1] for eq in equations):  # all their coefficients are 0
+        return None
+    for k in sorted(pivots):  # y[k:] is still 0 here
+        pivot = pivots[k]
+        y[k] = (pivot[-1] - sum(a * b for a, b in zip(pivot, y))) % p
+    return y
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from([GF2, GF3, GF7, gfp(2**31 - 1), gfp(2**63 - 25)]),
+    n=st.integers(1, 16),
+    kind=st.sampled_from(["constructed", "low rank", "plain"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_preimage_matches_row_by_row_reference(field, n, kind, seed):
+    # "constructed": seq_matrix(P) for P with some zero rows and zero
+    # diagonal entries, whose leading blocks are singular, so classes have
+    # many members and the first-y rule decides; "low rank": a sum of r
+    # rank-1 products, whose leading blocks have large null spaces with
+    # columns read by several of their vectors; "plain": mostly None.
+    rng = random.Random(seed)
+    p = field.modulus
+    if kind == "constructed":
+        rows = [list(row) for row in random_matrix(rng, field, n).rows]
+        for i in rng.sample(range(n), rng.randrange(n + 1)):
+            rows[i] = [0] * n
+        for i in rng.sample(range(n), rng.randrange(n + 1)):
+            rows[i][i] = 0
+        M = seq_matrix(Matrix.of(field, rows))
+    elif kind == "low rank":
+        rows = [[0] * n for _ in range(n)]
+        for _ in range(rng.randrange(n)):
+            u = [rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n)]
+            v = [rng.randrange(p) for _ in range(n)]
+            rows = [[(x + a * b) % p for x, b in zip(row, v)] for row, a in zip(rows, u)]
+        M = Matrix.of(field, rows)
+    else:
+        M = random_matrix(rng, field, n)
+    assert preimage_search(M) == _reference_preimage(M)
 
 
 # -- exhaustive ground truth for both compilers -----------------------------------------
