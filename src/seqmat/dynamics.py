@@ -23,7 +23,6 @@ compose the same F.  Both check that each F they walk is invertible
 (one rank test on its n-1 columns), so every fiber walk is a cycle
 through its start and stays bounded; census also checks that each
 level walk returns to its start.
-trajectory, which returns every matrix, takes plain full steps.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .matrix import (
     require_gf2,
     seq_matrix,
     set_diag_ones,
-    unpack_gf2_rows,
 )
 from .record import Record, set_field
 from .regularize import regularize_packed, regularize_plan
@@ -215,21 +213,6 @@ def orbit(M0: Matrix, max_iter: int = DEFAULT_MAX_ITER) -> OrbitReport:
         if y == y0:
             return OrbitReport(M0, length * m)
     raise GuardError(f"no recurrence within max_iter={max_iter} steps")
-
-
-def trajectory(M0: Matrix, steps: int) -> list[Matrix]:
-    """[M0, d(M0), d2(M0), ...] with the requested number of steps."""
-    _require_regular_gf2(M0, "trajectory")
-    if steps < 0:
-        raise PreconditionError("steps must be nonnegative")
-    n = M0.n
-    plan = regularize_plan(n)
-    out = [M0]
-    cur = pack_gf2_rows(M0)
-    for _ in range(steps):
-        cur = regularize_packed(cur, plan)
-        out.append(unpack_gf2_rows(cur, n))
-    return out
 
 
 # -- exhaustive census -----------------------------------------------------

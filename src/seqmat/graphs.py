@@ -54,8 +54,8 @@ def constructor_of(G: Digraph):
 
     Reflexive G: the regularized adjacency, whose construction equals G
     once its diagonal is forced back to ones.  Otherwise the first exact
-    constructor preimage_search solves for, row by row; None when G has
-    none.
+    constructor, which preimage_search finds in one forward elimination
+    on packed rows; None when G has none.
     """
     if is_reflexive(G):
         return Digraph(regularize(G.adjacency))

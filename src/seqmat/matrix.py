@@ -10,35 +10,42 @@ computed by program_symbolic / seq_matrix.
 Entries are stored as raw canonical field values (ints / Fractions);
 indices are 0-based in code, 1-based in all text formats.
 
-Row arithmetic (program_symbolic and the elimination kernel of the
-sequentialize module) runs on packed rows, in the backend row_backend
-picks from the field's modulus.  Every backend reads a row back as
-canonical entries (read, matrix) and forms the canonical packed row
-sum_t c_t * row_t (combine):
+Row arithmetic (program_symbolic, the elimination kernel of the
+sequentialize module, and preimage_search) runs on packed rows, in the
+backend row_backend picks from the field's modulus.  A backend holds n
+rows of any width w (preimage_search packs n augmented rows of width
+2n).  Every backend reads a row back as canonical entries (read,
+matrix) and forms the canonical packed row sum_t c_t * row_t (combine).
+The GF(2) and GF(p) backends also clear column k of row i with row j,
+row_i -= (row_i[k] / row_j[k]) * row_j (clear):
 
-* GF(2): row k is one int, bit t holding entry (k, t).  A sum is one
-  XOR per nonzero coefficient; a substitution update is one XOR with the
-  pivot row minus its diagonal bit.  Placed side by side, row k at bit
-  k*n, the rows make the matrix's word (pack_gf2_rows), on which the
-  regularize module runs the update for all rows of a step at once.
-  Rows and words are packed and read through their base-2 text, one
-  bytes.translate between entry bytes and digits.
-* GF(p), p odd: row k is one int of n slots, entry (k, t) in slot t
+* GF(2): row k is one int, bit t holding entry (k, t), read back w bits
+  wide.  A sum is one XOR per nonzero coefficient; a substitution update
+  is one XOR with the pivot row minus its diagonal bit; a clear is one
+  XOR.  Placed side by side, row k at bit k*n, the rows of an n x n
+  matrix make its word (pack_gf2_rows), on which the regularize module
+  runs the update for all rows of a step at once.  Rows and words are
+  packed and read through their base-2 text, one bytes.translate between
+  entry bytes and digits.
+* GF(p), p odd: row k is one int of w slots, entry (k, t) in slot t
   (Kronecker substitution).  A term c * row is one big-int multiply-add
   over the whole row.  A slot is the smallest unsigned array item (of
-  1, 2, 4 or 8 bytes) that holds (n*p*p).bit_length() bits or, past 64
-  bits, a whole number k of 8-byte words (p = 2**63 - 25 takes k = 3
-  from n = 5), so a row packs from an array of its entries in one
+  1, 2, 4 or 8 bytes) that holds (n*p*p).bit_length() bits, n being the
+  row count, or, past 64 bits, a whole number k of 8-byte words (p =
+  2**63 - 25 takes k = 3 from n = 5); the width sets only the row's
+  length in bytes.  So a row packs from an array of its entries in one
   int.from_bytes and reads back as one array of its slots; a k-word slot
   is reduced by Horner's rule over its words, 2**64 taken mod p.  A
   slot never carries into the next as long as its value stays below
   n*p*p.  combine sums at most n terms of c*v <= (p-1)**2
   over rows of reduced slots (v < p) and reduces the sum slot by slot,
-  so its rows stay reduced.  The substitution update leaves slots
-  unreduced, each holding an entry below p plus at most n-1 updates of
-  at most (p-1)**2 before its row is emitted, and reduces mod p only
-  where a slot is read: an emitted row, a fix-up subtraction, a pivot, a
-  coefficient.  So combine needs reduced rows: rows no update has touched.
+  so its rows stay reduced.  The substitution update and clear are one
+  multiply-add each and leave row i unreduced: a row holds entries below
+  p plus at most n-1 updates of at most (p-1)**2 before it is read, and
+  a slot is reduced mod p only where it is read: a row (read), a pivot,
+  a coefficient (coeff).  read stores its row back reduced.  combine and
+  row j of clear need reduced rows: rows no update has touched since
+  they were packed or read.
 * Q: row k is a list N of int numerators over one positive int
   denominator d, kept reduced (gcd(d, *N) == 1).  The reduced pair is
   unique, d being the lcm of the entries' denominators, so equal rows
@@ -250,7 +257,7 @@ def program_symbolic(P: StraightLineProgram) -> Matrix:
     combine of the field's packed rows.  This is the single correctness
     oracle the compilation modules are checked against.
     """
-    rows = row_backend(Matrix.identity(P.n, P.field))
+    rows = row_backend(P.field, Matrix.identity(P.n, P.field).rows)
     for step in P.steps:
         rows.rows[step.target] = rows.combine(step.coeffs.entries)
     return rows.matrix()
@@ -323,18 +330,21 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 class _PackedRows:
-    """The rows of one matrix, packed in the form of its field.
+    """Rows of canonical entries, packed in the form of their field.
 
-    rows[k] is row k packed; read(i) is row i as a list of canonical
-    entries; coeff(k, i) is nonzero iff entry (k, i) is; combine(coeffs)
-    is the packed canonical row sum_t coeffs[t] * rows[t];
-    substitute(i, row) is the elimination kernel's update of every row
-    below row i (see sequentialize.eliminate).
+    n is the row count and width the length of a row.  rows[k] is row k
+    packed; read(i) is row i as a list of canonical entries; coeff(k, i)
+    is nonzero iff entry (k, i) is; combine(coeffs) is the packed
+    canonical row sum_t coeffs[t] * rows[t]; substitute(i, row) is the
+    elimination kernel's update of every row below row i (see
+    sequentialize.eliminate).  Over GF(2) and GF(p), clear(i, k, j)
+    clears column k of row i with row j: row_i -= (row_i[k] / row_j[k]) *
+    row_j, for nonzero entries (i, k) and (j, k).
     """
 
-    def __init__(self, M: Matrix) -> None:
-        self.field, self.n = M.field, M.n
-        self.rows = [self._pack(r) for r in M.rows]
+    def __init__(self, field: FieldSpec, rows) -> None:
+        self.field, self.n, self.width = field, len(rows), len(rows[0])
+        self.rows = [self._pack(r) for r in rows]
 
     def matrix(self) -> Matrix:
         """The rows read back as a Matrix."""
@@ -345,7 +355,7 @@ class _GF2Rows(_PackedRows):
     _pack = staticmethod(_bits_to_int)
 
     def read(self, i: int) -> list:
-        return list(_int_to_bits(self.rows[i], self.n))
+        return list(_int_to_bits(self.rows[i], self.width))
 
     def coeff(self, k: int, i: int) -> int:
         return (self.rows[k] >> i) & 1
@@ -366,17 +376,20 @@ class _GF2Rows(_PackedRows):
             if rows[k] & bit:
                 rows[k] ^= base
 
+    def clear(self, i: int, k: int, j: int) -> None:
+        self.rows[i] ^= self.rows[j]
+
 
 class _GFpRows(_PackedRows):
-    def __init__(self, M: Matrix) -> None:
-        p = self.p = M.field.modulus
-        need = -(-(M.n * p * p).bit_length() // 8)
+    def __init__(self, field: FieldSpec, rows) -> None:
+        p = self.p = field.modulus
+        need = -(-(len(rows) * p * p).bit_length() // 8)
         size = next((s for s in _SLOT_TYPES if s >= need), 8 * -(-need // 8))
         self.code = _SLOT_TYPES.get(size, "Q")
         self.words, self.word_mod = -(-size // 8), (1 << 64) % p
-        self.bits, self.nbytes = 8 * size, M.n * size
+        self.bits, self.nbytes = 8 * size, len(rows[0]) * size
         self.mask = (1 << self.bits) - 1
-        super().__init__(M)
+        super().__init__(field, rows)
 
     def _pack(self, entries) -> int:
         k = self.words
@@ -405,7 +418,10 @@ class _GFpRows(_PackedRows):
         return [(v * r + w) % p for v, w in zip(slots, items[::k])]
 
     def read(self, i: int) -> list:
-        return self._reduce(self.rows[i])
+        # Stored back reduced: row i can be row j of clear, or a term of combine.
+        row = self._reduce(self.rows[i])
+        self.rows[i] = self._pack(row)
+        return row
 
     def coeff(self, k: int, i: int) -> int:
         return ((self.rows[k] >> (self.bits * i)) & self.mask) % self.p
@@ -430,6 +446,11 @@ class _GFpRows(_PackedRows):
             c = ((rows[k] >> shift) & mask) % p
             if c:
                 rows[k] += c * pivot_inv % p * packed
+
+    def clear(self, i: int, k: int, j: int) -> None:
+        # Row j must be reduced (see the module docstring).
+        rows = self.rows
+        rows[i] += -self.coeff(i, k) * pow(self.coeff(j, k), -1, self.p) % self.p * rows[j]
 
 
 class _RationalRows(_PackedRows):
@@ -465,7 +486,7 @@ class _RationalRows(_PackedRows):
         # has denominator q = den(c)*d_t, so D grows to lcm(D, q) and the
         # sum so far is multiplied by lcm(D, q)/D.  The sum is reduced
         # once, after the last term.
-        acc, D = [0] * self.n, 1
+        acc, D = [0] * self.width, 1
         for c, (N, d) in zip(coeffs, self.rows):
             if c:
                 q = c.denominator * d
@@ -493,9 +514,10 @@ class _RationalRows(_PackedRows):
                 rows[k] = self._reduce([scale * x + c * b for x, b in zip(N, base)], scale * d)
 
 
-def row_backend(M: Matrix) -> _PackedRows:
-    """M's rows packed in the backend of its field (see the module docstring)."""
-    p = M.field.modulus
+def row_backend(field: FieldSpec, rows) -> _PackedRows:
+    """rows, of canonical entries of field, packed in its backend (see the
+    module docstring)."""
+    p = field.modulus
     if p == 2:
-        return _GF2Rows(M)
-    return _RationalRows(M) if p is None else _GFpRows(M)
+        return _GF2Rows(field, rows)
+    return _RationalRows(field, rows) if p is None else _GFpRows(field, rows)

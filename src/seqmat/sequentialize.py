@@ -14,14 +14,14 @@ Three routes:
 * preimage_search: the converse question, whether some matrix has an
   in-place interpretation equal to the ordinary interpretation of the
   target.  Over a finite field it is answered by one forward
-  elimination over the target's rows, O(n^3), which solves every row's
-  leading-block system at once and picks the lexicographically first
-  such matrix.
+  elimination over the target's rows augmented by the unit rows, O(n^3),
+  which solves every row's leading-block system at once and picks the
+  lexicographically first such matrix.
 
 Both compilers, and regularize_general in the regularize module, are one
 elimination kernel, eliminate, with different pivot policies.  It keeps
 the working rows in the packed backend of their field (see the matrix
-module).  Its output is bit-identical to the entrywise field-method
+module), and so does preimage_search.  Its output is bit-identical to the entrywise field-method
 elimination, which the tests keep as its reference.  Everything is
 checked against the program_symbolic oracle in the tests.
 """
@@ -118,7 +118,7 @@ def eliminate(M: Matrix, policy: str, units: tuple = ()) -> tuple[tuple[tuple, .
     """
     field = M.field
     n = M.n
-    rows = row_backend(M)
+    rows = row_backend(field, M.rows)
     moves = list(range(n)) if policy == "perm" else [None] * n
     out = []
     for i in range(n):
@@ -193,45 +193,47 @@ def preimage_search(M: Matrix):
     every vector of that null space.
 
     One forward pass finds every row's first y.  It works on augmented
-    rows a = [w | w * M] mod p, where w is the combination of M's rows,
-    and keeps two structures before row i:
+    rows a = [w | w * M] of width 2n, where w is the combination of M's
+    rows, packed in the row backend of the field, and keeps two
+    structures of row indices before row i:
 
-    * live: one vector per leading position of its w part, together a
+    * live: one row per leading position of its w part, together a
       basis of the left null space of M[:i, :i]; their w * M part is 0
       on every column below i.
-    * pivots: in column order, the vector that cleared column c; its
+    * pivots: in column order, the row that cleared column c; its
       w * M part is 0 on the columns below c and nonzero at c.
 
-    Row i enters as [e_i | M[i]] and is reduced by pivots in column
+    Row i starts as [e_i | M[i]] and is cleared by pivots in column
     order, which leaves M[i, :i] - y * M[:i, :i] = 0 exactly when a
     solution exists, then by live in ascending lead order, which zeroes
-    y at every lead.  Then a joins live, and column i leaves: among the
-    live vectors reading it, the one with the largest lead clears it
-    from the others (their leads stay put) and moves to pivots.
-    O(n^3) entry operations, no guard.
+    y at every lead.  Then it is read and joins live, and column i
+    leaves: among the live rows reading it, the one with the largest
+    lead clears it from the others (their leads stay put) and moves to
+    pivots.  Every row is read after its last clear, so each row that
+    clears another is reduced (see the matrix module).  O(n^3) entry
+    operations, no guard.
     """
     field = M.field
     p = field.modulus
     if p is None:
         raise PreconditionError("preimage search needs a finite field")
     n = M.n
+    rows = row_backend(field, [e + row for e, row in zip(Matrix.identity(n, field).rows, M.rows)])
     pivots, live, found = [], {}, []
-    for i, row in enumerate(M.rows):
-        a = [0] * i + [1] + [0] * (n - 1 - i) + list(row)
-        for k, v in pivots + sorted(live.items()):
-            if a[k]:
-                f = a[k] * pow(v[k], -1, p) % p
-                a = [(x - f * y) % p for x, y in zip(a, v)]
+    for i in range(n):
+        for k, j in pivots + sorted(live.items()):
+            if rows.coeff(i, k):
+                rows.clear(i, k, j)
+        a = rows.read(i)
         if any(a[n : n + i]):
             return None
         found.append(tuple([-x % p for x in a[:i]] + a[n + i :]))
-        live[next(k for k, x in enumerate(a) if x)] = a
-        readers = [lead for lead in sorted(live) if live[lead][n + i]]
+        live[next(k for k, x in enumerate(a) if x)] = i
+        readers = [lead for lead in sorted(live) if rows.coeff(live[lead], n + i)]
         if readers:
-            v = live.pop(readers[-1])
+            j = live.pop(readers[-1])
             for lead in readers[:-1]:
-                w = live[lead]
-                f = w[n + i] * pow(v[n + i], -1, p) % p
-                live[lead] = [(x - f * y) % p for x, y in zip(w, v)]
-            pivots.append((n + i, v))
+                rows.clear(live[lead], n + i, j)
+                rows.read(live[lead])
+            pivots.append((n + i, j))
     return Matrix(field, tuple(found))

@@ -26,7 +26,6 @@ from seqmat import (
     phi,
     regularize,
     regularize_general,
-    trajectory,
 )
 from seqmat.dynamics import _apply, _fiber_cycles, _require_invertible, _Tower
 from seqmat.errors import GuardError, InvariantViolation, PreconditionError
@@ -83,10 +82,9 @@ def test_orbit_minimality_and_recurrence():
     rng = random.Random(15)
     for _ in range(20):
         M = random_regular_gf2(rng, 4)
-        report = orbit(M)
-        walk = trajectory(M, report.cycle_length)
-        assert walk[-1] == M
-        assert all(step != M for step in walk[1:-1])
+        # _plain_orbit takes full steps until the start recurs and asserts
+        # that no other matrix repeats on the way.
+        assert orbit(M).cycle_length == _plain_orbit(M)
 
 
 def test_orbit_detects_max_iter():
@@ -321,31 +319,6 @@ def test_orbit_samples_stay_within_bound(n):
     rng = random.Random(20261019)
     lengths = [orbit(random_regular_gf2(rng, n)).cycle_length for _ in range(400)]
     assert max(lengths) <= 2 * 3 ** (n - 2)
-
-
-# -- trajectories ----------------------------------------------------------------
-
-
-def test_trajectory_identity():
-    I = Matrix.identity(3, GF2)
-    assert trajectory(I, 3) == [I, I, I, I]
-
-
-def test_trajectory_zero_steps():
-    M = Matrix.of(GF2, [[1, 1], [0, 1]])
-    assert trajectory(M, 0) == [M]
-
-
-def test_trajectory_one_step_is_regularize():
-    dM = Matrix.of(GF2, [[1, 1, 1], [1, 1, 1], [0, 1, 1]])
-    assert trajectory(dM, 1) == [dM, regularize(dM)]
-
-
-def test_trajectory_preconditions():
-    with pytest.raises(PreconditionError):
-        trajectory(Matrix.of(GF2, [[0]]), 1)
-    with pytest.raises(PreconditionError):
-        trajectory(Matrix.identity(2, GF2), -1)
 
 
 # -- census ------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from seqmat import (
     is_similar,
     pack_gf2_rows,
     parallel_apply,
+    preimage_search,
     program_apply,
     program_symbolic,
     seq_apply,
@@ -32,6 +33,7 @@ from seqmat import (
 )
 from seqmat.errors import DimensionMismatchError, FieldMismatchError, PreconditionError
 from test_eliminate import _check_all_policies
+from test_sequentialize import _reference_preimage
 
 M3 = Matrix.of(RATIONAL, [[0, 1, 2], [3, 4, 5], [6, 7, 8]])
 
@@ -322,10 +324,15 @@ SLOT_EDGES = {8: (11, 2), 16: (73, 12), 32: (18917, 12), 64: (1239850223, 12),
 
 @pytest.mark.parametrize("bits", sorted(SLOT_EDGES))
 def test_gfp_slot_edges_match_entrywise_references(bits):
-    # Mutation check: with every slot one array item narrower (one word
-    # fewer past 64 bits), where a narrower one exists, this test fails at
-    # every edge.  Only little-endian machines have run it; the big-endian
-    # byte swaps in the GF(p) backend are unverified.
+    # preimage_search packs n augmented rows of width 2n, so its slot
+    # follows the row count n too; the rank-1 all-(p-1) matrix keeps every
+    # row but the first in its live basis.  Mutation checks: with every
+    # slot one array item narrower (one word fewer past 64 bits), where a
+    # narrower one exists, this test fails at every edge.  With GF(p) rows
+    # not stored back reduced on read, it fails at every edge but 8 bits,
+    # where the products of unreduced rows still fit their 2-byte slots.
+    # Only little-endian machines have run it; the big-endian byte swaps
+    # in the GF(p) backend are unverified.
     p, fit = SLOT_EDGES[bits]
     field = gfp(p)
     rng = random.Random(bits)
@@ -337,10 +344,14 @@ def test_gfp_slot_edges_match_entrywise_references(bits):
                   Matrix.of(field, [_random_gfp_row(rng, p, n, 1.0) for _ in range(n)]),
                   Matrix.of(field, [_random_gfp_row(rng, p, n, 0.5) for _ in range(n)])):
             _check_all_policies(M, units)
+            assert preimage_search(M) == _reference_preimage(M)
             P = seq_program(M)
             assert program_symbolic(P).rows == _reference_symbolic_gfp(P).rows
         P = _largest_slot_sums(field, n)
         assert program_symbolic(P).rows == _reference_symbolic_gfp(P).rows
+        P = Matrix.of(field, [[rng.randrange(1, p) if i == j else rng.randrange(p)
+                               for j in range(n)] for i in range(n)])
+        assert preimage_search(seq_matrix(P)) == P
 
 
 def test_oracle_identity_random():

@@ -22,7 +22,6 @@ from seqmat import (
     regularize_plan,
     regularize_trace,
     seq_matrix,
-    trajectory,
     unpack_gf2_rows,
 )
 from seqmat.errors import PreconditionError
@@ -167,17 +166,6 @@ def test_word_kernel_matches_tuple_reference(n, extra, kind, seed):
             expected = unpack_gf2_rows(_word(_reference_packed(rows, steps), n), n)
             assert unpack_gf2_rows(word, n) == expected
             assert pack_gf2_rows(expected) == _word(_reference_packed(rows, steps), n)
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 10), k=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
-def test_trajectory_is_repeated_regularize(n, k, seed):
-    rng = random.Random(seed)
-    M = Matrix.of(GF2, [[1 if i == j else rng.randrange(2) for j in range(n)] for i in range(n)])
-    expected = [M]
-    for _ in range(k):
-        expected.append(regularize(expected[-1]))
-    assert trajectory(M, k) == expected
 
 
 def test_requires_gf2():
