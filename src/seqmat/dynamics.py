@@ -67,16 +67,19 @@ class CensusReport(Record):
     the histogram masses sum to 2**(n*n - n).
     """
 
-    __slots__ = ("n", "histogram", "max_cycle_length")
+    __slots__ = ("n", "histogram")
 
-    def __init__(self, n: int, histogram: dict[int, int], max_cycle_length: int) -> None:
+    def __init__(self, n: int, histogram: dict[int, int]) -> None:
         set_field(self, "n", n)
         set_field(self, "histogram", histogram)
-        set_field(self, "max_cycle_length", max_cycle_length)
 
     @property
     def matrix_count(self) -> int:
         return sum(self.histogram.values())
+
+    @property
+    def max_cycle_length(self) -> int:
+        return max(self.histogram)
 
 
 def _require_regular_gf2(M: Matrix, what: str) -> None:
@@ -313,7 +316,7 @@ def census(n: int, *, force: bool = False) -> CensusReport:
                 walk(k + 1, x | row[y], length * m)
 
     walk(0, 0, 1)
-    return CensusReport(n, dict(sorted(histogram.items())), max(histogram))
+    return CensusReport(n, dict(sorted(histogram.items())))
 
 
 def load_orbit_seed() -> Matrix:

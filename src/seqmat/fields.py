@@ -1,9 +1,10 @@
 """Exact scalar arithmetic over GF(2), GF(p) with prime p, and rationals.
 
-A FieldSpec describes the field and performs arithmetic on *raw* canonical
-values: Python ints for the prime fields, fractions.Fraction for the
-rationals.  A field element is such a value; matrices and vectors hold
-them with their FieldSpec.
+A FieldSpec is its modulus: a prime p for GF(p), GF(2) included, or
+None for the rationals; its kind is derived from it.  It performs
+arithmetic on *raw* canonical values: Python ints for the prime fields,
+fractions.Fraction for the rationals.  A field element is such a value;
+matrices and vectors hold them with their FieldSpec.
 
 Canonical forms are unique: residues live in [0, p) and rationals are
 fully reduced with a positive denominator (Fraction guarantees this), so
@@ -63,38 +64,34 @@ def _is_prime(p: int) -> bool:
 
 
 class FieldSpec(Record):
-    """Descriptor of an exact field; GF(2) and GF(p) carry their modulus."""
+    """Descriptor of an exact field: GF(p) for a prime modulus p, the
+    rationals for none."""
 
-    __slots__ = ("kind", "modulus")
+    __slots__ = ("modulus",)
 
-    def __init__(self, kind: FieldKind, modulus: int | None = None) -> None:
-        if kind is FieldKind.RATIONAL:
-            if modulus is not None:
-                raise PreconditionError("rational field takes no modulus")
-        elif kind is FieldKind.GF2:
-            if modulus != 2:
-                raise PreconditionError("GF2 must have modulus 2")
-        else:
-            if modulus is None:
-                raise PreconditionError("GF(p) needs a modulus")
-            if modulus == 2:
-                raise PreconditionError("use the GF2 spec for modulus 2")
+    def __init__(self, modulus: int | None = None) -> None:
+        if modulus is not None:
             if modulus >= MAX_MODULUS:
                 raise PreconditionError(f"modulus {modulus} exceeds the 63-bit limit")
             if not _is_prime(modulus):
                 raise PreconditionError(f"modulus {modulus} is not prime")
-        set_field(self, "kind", kind)
         set_field(self, "modulus", modulus)
+
+    @property
+    def kind(self) -> FieldKind:
+        p = self.modulus
+        if p is None:
+            return FieldKind.RATIONAL
+        return FieldKind.GF2 if p == 2 else FieldKind.GFP
 
     # -- description ---------------------------------------------------
 
     def describe(self) -> str:
         """The text form used in file headers: 'gf2' | 'gfp <p>' | 'rational'."""
-        if self.kind is FieldKind.RATIONAL:
+        p = self.modulus
+        if p is None:
             return "rational"
-        if self.kind is FieldKind.GF2:
-            return "gf2"
-        return f"gfp {self.modulus}"
+        return "gf2" if p == 2 else f"gfp {p}"
 
     def __str__(self) -> str:
         return self.describe()
@@ -176,15 +173,13 @@ class FieldSpec(Record):
             raise digit_limit_error() from None
 
 
-GF2 = FieldSpec(FieldKind.GF2, 2)
-RATIONAL = FieldSpec(FieldKind.RATIONAL)
+GF2 = FieldSpec(2)
+RATIONAL = FieldSpec()
 
 
 def gfp(p: int) -> FieldSpec:
     """The prime field with p elements; p = 2 yields the GF2 spec."""
-    if p == 2:
-        return GF2
-    return FieldSpec(FieldKind.GFP, p)
+    return FieldSpec(p)
 
 
 def digit_limit_error() -> GuardError:

@@ -8,7 +8,8 @@ Matrix file (bit-exact round trip):
 A vector file is the same with a single entry line.  A coding file is a
 matrix file followed by one "fixups: r_1 ... r_n" line (0 = no fix-up,
 otherwise the 1-based partner index) or one "perm: s_1 ... s_n" line
-(1-based image of each index).
+(1-based image of each index); format_coding and parse_coding convert
+to and from the 0-based indices the codings hold.
 
 Program listings print one assignment per line as
     x<i> := <c1>*x1 + ... + <cn>*xn
@@ -106,7 +107,7 @@ def _format_linear(coeffs, names: list[str]) -> str:
 def format_program(P: StraightLineProgram) -> str:
     names = [f"x{j}" for j in range(1, P.n + 1)]
     try:
-        lines = [f"{names[step.target]} := {_format_linear(step.coeffs.entries, names)}"
+        lines = [f"{names[step.target]} := {_format_linear(step.coeffs, names)}"
                  for step in P.steps]
     except ValueError:
         raise digit_limit_error() from None
@@ -116,9 +117,9 @@ def format_program(P: StraightLineProgram) -> str:
 def format_coding(coding: InSituCoding | PermCoding) -> str:
     head = format_matrix(coding.matrix)
     if isinstance(coding, InSituCoding):
-        tail = " ".join(str(r) for r in coding.fixups_one_based)
+        tail = " ".join("0" if j is None else str(j + 1) for j in coding.fixups)
         return f"{head}fixups: {tail}\n"
-    tail = " ".join(str(s) for s in coding.perm_one_based)
+    tail = " ".join(str(s + 1) for s in coding.perm)
     return f"{head}perm: {tail}\n"
 
 
@@ -136,7 +137,7 @@ def parse_coding(text: str) -> InSituCoding | PermCoding:
         raise ParseError(f"expected a fixups/perm line, got {last!r}")
     if len(values) != n:
         raise ParseError(f"bad {kind} line: {last!r}")
-    nums = [parse_int(v, f"{kind} entry") for v in values]
+    nums = [parse_int(v, f"{kind} entry") - 1 for v in values]
     if kind == "fixups":
-        return InSituCoding.from_one_based(matrix, nums)
-    return PermCoding.from_one_based(matrix, nums)
+        return InSituCoding(matrix, tuple(None if j == -1 else j for j in nums))
+    return PermCoding(matrix, tuple(nums))

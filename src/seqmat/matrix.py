@@ -167,21 +167,28 @@ class Matrix(Record):
 
 
 class Assignment(Record):
-    """One program step: ``x_target := coeffs . X`` against the current X."""
+    """One program step: ``x_target := coeffs . X`` against the current X,
+    coeffs being the tuple of canonical coefficients of the program's field."""
 
     __slots__ = ("target", "coeffs")
 
-    def __init__(self, target: int, coeffs: Vector) -> None:
+    def __init__(self, target: int, coeffs: tuple) -> None:
         set_field(self, "target", target)
         set_field(self, "coeffs", coeffs)
 
 
 class StraightLineProgram(Record):
-    """Ordered single-target linear assignments, executed in place."""
+    """Ordered single-target linear assignments, executed in place on n
+    variables: each step targets one of range(n) and has n coefficients."""
 
     __slots__ = ("field", "n", "steps")
 
     def __init__(self, field: FieldSpec, n: int, steps: tuple[Assignment, ...]) -> None:
+        for k, step in enumerate(steps):
+            if not 0 <= step.target < n:
+                raise PreconditionError(f"step {k} targets {step.target}, outside range({n})")
+            if len(step.coeffs) != n:
+                raise DimensionMismatchError(f"step {k} has {len(step.coeffs)} coefficients, not {n}")
         set_field(self, "field", field)
         set_field(self, "n", n)
         set_field(self, "steps", steps)
@@ -230,7 +237,7 @@ def parallel_apply(M: Matrix, X: Vector) -> Vector:
 def seq_program(M: Matrix) -> StraightLineProgram:
     """The n-step program executing each row in place: step i is ``x_i := row_i . X``."""
     field = M.field
-    steps = tuple(Assignment(i, Vector(field, row)) for i, row in enumerate(M.rows))
+    steps = tuple(Assignment(i, row) for i, row in enumerate(M.rows))
     return StraightLineProgram(field, M.n, steps)
 
 
@@ -240,7 +247,7 @@ def program_apply(P: StraightLineProgram, X: Vector) -> Vector:
     field = P.field
     state = list(X.entries)
     for step in P.steps:
-        state[step.target] = _dot(field, step.coeffs.entries, state)
+        state[step.target] = _dot(field, step.coeffs, state)
     return Vector(field, tuple(state))
 
 
@@ -259,7 +266,7 @@ def program_symbolic(P: StraightLineProgram) -> Matrix:
     """
     rows = row_backend(P.field, Matrix.identity(P.n, P.field).rows)
     for step in P.steps:
-        rows.rows[step.target] = rows.combine(step.coeffs.entries)
+        rows.rows[step.target] = rows.combine(step.coeffs)
     return rows.matrix()
 
 

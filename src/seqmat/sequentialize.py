@@ -33,7 +33,6 @@ from .matrix import (
     Assignment,
     Matrix,
     StraightLineProgram,
-    Vector,
     row_backend,
     seq_program,
 )
@@ -46,6 +45,8 @@ class InSituCoding(Record):
 
     fixups[i] is the 0-based row j > i whose value repairs row i at the
     end, or None when row i needs no fix-up.  The last row never has one.
+    The coding holds only this form; the coding file's 1-based line (0 for
+    None) is made and read by formats.format_coding and parse_coding.
     """
 
     __slots__ = ("matrix", "fixups")
@@ -64,19 +65,10 @@ class InSituCoding(Record):
         set_field(self, "matrix", matrix)
         set_field(self, "fixups", fixups)
 
-    @property
-    def fixups_one_based(self) -> tuple[int, ...]:
-        """The external form: 0 for no fix-up, else the 1-based partner."""
-        return tuple(0 if j is None else j + 1 for j in self.fixups)
-
-    @classmethod
-    def from_one_based(cls, matrix: Matrix, values) -> "InSituCoding":
-        return cls(matrix, tuple(None if v == 0 else v - 1 for v in values))
-
 
 class PermCoding(Record):
     """Compact form of the row-exchange method: matrix plus the permutation
-    mapping each output position to the input row it realizes."""
+    mapping each output position to the 0-based input row it realizes."""
 
     __slots__ = ("matrix", "perm")
 
@@ -85,14 +77,6 @@ class PermCoding(Record):
             raise PreconditionError("perm must be a permutation of the row indices")
         set_field(self, "matrix", matrix)
         set_field(self, "perm", perm)
-
-    @property
-    def perm_one_based(self) -> tuple[int, ...]:
-        return tuple(s + 1 for s in self.perm)
-
-    @classmethod
-    def from_one_based(cls, matrix: Matrix, values) -> "PermCoding":
-        return cls(matrix, tuple(v - 1 for v in values))
 
 
 # -- the elimination kernel ---------------------------------------------------
@@ -166,7 +150,7 @@ def decode_coding(coding: InSituCoding) -> StraightLineProgram:
             coeffs = [zero] * n
             coeffs[i] = one
             coeffs[j] = one
-            steps.append(Assignment(i, Vector(field, tuple(coeffs))))
+            steps.append(Assignment(i, tuple(coeffs)))
     return StraightLineProgram(field, n, tuple(steps))
 
 

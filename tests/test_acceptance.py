@@ -79,13 +79,13 @@ def test_criterion_02_compiler_exact_examples():
         "x1 := x1 + x2\n"
     )
     assert coding.matrix == Matrix.of(RATIONAL, [[-1, -1, 0], [-1, 0, 1], [-3, 0, 2]])
-    assert coding.fixups_one_based == (2, 0, 0)
+    assert coding.fixups == (1, None, None)
 
     M2 = Matrix.of(RATIONAL, [[0, 0], [1, 0]])
     program2, coding2 = sequentialize(M2)
     assert format_program(program2) == "x1 := -x1\nx2 := -x1\nx1 := x1 + x2\n"
     assert coding2.matrix == Matrix.of(RATIONAL, [[-1, 0], [-1, 0]])
-    assert coding2.fixups_one_based == (2, 0)
+    assert coding2.fixups == (1, None)
     _ok(2, "compiler reproduces both worked codings")
 
 

@@ -1,16 +1,17 @@
 """The traced benchmark run wraps seqmat functions by name; every name must resolve.
 
 bench/tracing.py looks each name in SPANNED up in its seqmat.<layer>
-module, and each name in FIELD_OPS on FieldSpec, with getattr.  A name
-moved or renamed in the library would break the traced run, so the
-names are checked here.
+module, and each name in FIELD_OPS on FieldSpec, with getattr, and
+counts each field op under FIELD_SUFFIX[field.kind].  A name moved or
+renamed in the library, or a kind missing from FIELD_SUFFIX, would break
+the traced run, so both are checked here.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from seqmat.fields import FieldSpec
+from seqmat.fields import GF2, RATIONAL, FieldSpec, gfp
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -30,3 +31,5 @@ def test_traced_names_resolve():
             assert callable(getattr(module, name, None)), f"seqmat.{layer}.{name}"
     for op in tracing.FIELD_OPS:
         assert callable(getattr(FieldSpec, op, None)), f"FieldSpec.{op}"
+    for field in (GF2, gfp(7), RATIONAL):
+        assert field.kind in tracing.FIELD_SUFFIX, f"{field}.kind"

@@ -76,7 +76,7 @@ def test_sequentialize_fixups_output(capsys, tmp_path):
     ]
     coding = parse_coding(coding_part)
     assert coding.matrix == Matrix.of(RATIONAL, [[-1, -1, 0], [-1, 0, 1], [-3, 0, 2]])
-    assert coding.fixups_one_based == (2, 0, 0)
+    assert coding.fixups == (1, None, None)
 
 
 def test_sequentialize_perm_output(capsys, tmp_path):
@@ -85,8 +85,8 @@ def test_sequentialize_perm_output(capsys, tmp_path):
     assert code == 0
     _, coding_part = out.split("\n\n", 1)
     coding = parse_coding(coding_part)
-    assert sorted(coding.perm_one_based) == [1, 2, 3]
-    assert coding.perm_one_based != (1, 2, 3)
+    assert sorted(coding.perm) == [0, 1, 2]
+    assert coding.perm != (0, 1, 2)
 
 
 def test_preimage_none(capsys, tmp_path):

@@ -39,6 +39,7 @@ def test_field_parse_gfp():
 
 def test_field_parse_rational():
     assert field_parse("rational") == RATIONAL
+    assert RATIONAL.kind is FieldKind.RATIONAL
     assert RATIONAL.modulus is None
 
 
@@ -69,11 +70,11 @@ def test_field_descriptions_round_trip():
 
 def test_direct_spec_validation():
     with pytest.raises(PreconditionError):
-        FieldSpec(FieldKind.GFP, 9)
+        FieldSpec(9)
     with pytest.raises(PreconditionError):
-        FieldSpec(FieldKind.GF2, 3)
+        FieldSpec(1)
     with pytest.raises(PreconditionError):
-        FieldSpec(FieldKind.RATIONAL, 5)
+        FieldSpec(-7)
     with pytest.raises(PreconditionError):
         gfp((1 << 63) + 9)  # beyond the modulus limit, prime or not
 

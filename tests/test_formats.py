@@ -97,7 +97,7 @@ def test_parse_vector_needs_single_entry_line():
 
 
 def _program(field, n, *raw_steps):
-    steps = tuple(Assignment(t, Vector.of(field, cs)) for t, cs in raw_steps)
+    steps = tuple(Assignment(t, tuple(map(field.coerce, cs))) for t, cs in raw_steps)
     return StraightLineProgram(field, n, steps)
 
 
@@ -139,8 +139,8 @@ def test_program_listing_residues_never_signed():
 
 
 def test_coding_golden_and_round_trip():
-    coding = InSituCoding.from_one_based(
-        Matrix.of(RATIONAL, [[-1, -1, 0], [-1, 0, 1], [-3, 0, 2]]), [2, 0, 0]
+    coding = InSituCoding(
+        Matrix.of(RATIONAL, [[-1, -1, 0], [-1, 0, 1], [-3, 0, 2]]), (1, None, None)
     )
     text = format_coding(coding)
     assert text == (
@@ -150,9 +150,7 @@ def test_coding_golden_and_round_trip():
 
 
 def test_perm_coding_round_trip():
-    coding = PermCoding.from_one_based(
-        Matrix.of(GF2, [[1, 1], [0, 1]]), [2, 1]
-    )
+    coding = PermCoding(Matrix.of(GF2, [[1, 1], [0, 1]]), (1, 0))
     text = format_coding(coding)
     assert text.endswith("perm: 2 1\n")
     assert parse_coding(text) == coding
@@ -180,13 +178,17 @@ def test_parse_coding_rejects(text):
 def test_coding_validation():
     I2 = Matrix.identity(2, GF2)
     with pytest.raises(PreconditionError):
-        InSituCoding.from_one_based(I2, [0, 2])  # last row may not point anywhere
+        InSituCoding(I2, (None, 1))  # last row may not point anywhere
     with pytest.raises(PreconditionError):
-        InSituCoding.from_one_based(I2, [1, 0])  # partner must lie strictly below
+        InSituCoding(I2, (0, None))  # partner must lie strictly below
     with pytest.raises(PreconditionError):
-        InSituCoding.from_one_based(I2, [3, 0])  # out of range
+        InSituCoding(I2, (2, None))  # out of range
     with pytest.raises(PreconditionError):
-        PermCoding.from_one_based(I2, [1, 1])
+        PermCoding(I2, (0, 0))
+    # The same codings as 1-based text lines.
+    for line in ("fixups: 0 2", "fixups: 1 0", "fixups: 3 0", "perm: 1 1"):
+        with pytest.raises(PreconditionError):
+            parse_coding(f"gf2\nn 2\n1 0\n0 1\n{line}\n")
 
 
 # -- whole-row codecs against the entrywise references ---------------------------
@@ -216,7 +218,7 @@ def _reference_format_linear(field, coeffs):
 
 
 def _reference_format_program(P):
-    lines = [f"x{s.target + 1} := {_reference_format_linear(P.field, s.coeffs.entries)}"
+    lines = [f"x{s.target + 1} := {_reference_format_linear(P.field, s.coeffs)}"
              for s in P.steps]
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -245,7 +247,7 @@ def test_format_program_matches_entrywise_reference(field, n, density, seed):
         d = density if rng.random() < 0.8 else 0.0
         coeffs = [_random_coefficient(rng, field) if rng.random() < d else field.zero
                   for _ in range(n)]
-        steps.append(Assignment(rng.randrange(n), Vector.of(field, coeffs)))
+        steps.append(Assignment(rng.randrange(n), tuple(coeffs)))
     P = StraightLineProgram(field, n, tuple(steps))
     assert format_program(P) == _reference_format_program(P)
 

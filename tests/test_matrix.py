@@ -43,7 +43,7 @@ def vec(field, *entries):
 
 
 def step(field, target, coeffs):
-    return Assignment(target, Vector.of(field, coeffs))
+    return Assignment(target, tuple(map(field.coerce, coeffs)))
 
 
 # -- parallel interpretation -------------------------------------------------
@@ -96,7 +96,7 @@ def test_seq_program_identity_self_assignments():
     P = seq_program(Matrix.identity(3, GF2))
     assert [s.target for s in P.steps] == [0, 1, 2]
     for i, s in enumerate(P.steps):
-        assert s.coeffs == Matrix.identity(3, GF2).row(i)
+        assert s.coeffs == Matrix.identity(3, GF2).rows[i]
 
 
 def test_program_apply_three_by_three():
@@ -175,7 +175,7 @@ def test_gf2_symbolic_matches_independent_reference():
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for s in P.steps:
             new = [
-                sum(c * rows[t][u] for t, c in enumerate(s.coeffs.entries)) % 2
+                sum(c * rows[t][u] for t, c in enumerate(s.coeffs)) % 2
                 for u in range(n)
             ]
             rows[s.target] = new
@@ -187,10 +187,7 @@ def test_gf2_symbolic_matches_independent_reference():
         steps = []
         for _ in range(rng.randint(0, 2 * n)):
             steps.append(
-                Assignment(
-                    rng.randrange(n),
-                    Vector.of(GF2, [rng.randrange(2) for _ in range(n)]),
-                )
+                Assignment(rng.randrange(n), tuple(rng.randrange(2) for _ in range(n)))
             )
         P = StraightLineProgram(GF2, n, tuple(steps))
         assert program_symbolic(P) == reference(P)
@@ -203,7 +200,7 @@ def _reference_symbolic_q(P):
     rows = [[Fraction(int(t == u)) for u in range(n)] for t in range(n)]
     for s in P.steps:
         acc = [Fraction(0)] * n
-        for c, row in zip(s.coeffs.entries, rows):
+        for c, row in zip(s.coeffs, rows):
             if c:
                 for u, v in enumerate(row):
                     if v:
@@ -250,7 +247,7 @@ def _reference_symbolic_gfp(P):
     rows = [tuple(int(t == u) for u in range(n)) for t in range(n)]
     for s in P.steps:
         acc = [0] * n
-        for c, row in zip(s.coeffs.entries, rows):
+        for c, row in zip(s.coeffs, rows):
             if c:
                 for u, v in enumerate(row):
                     if v:

@@ -42,7 +42,7 @@ def test_compile_3x3_with_one_fixup():
         "x1 := x1 + x2\n"
     )
     assert coding.matrix == Matrix.of(RATIONAL, [[-1, -1, 0], [-1, 0, 1], [-3, 0, 2]])
-    assert coding.fixups_one_based == (2, 0, 0)
+    assert coding.fixups == (1, None, None)
     assert program_symbolic(program) == M
 
 
@@ -51,7 +51,7 @@ def test_compile_2x2_with_one_fixup():
     program, coding = sequentialize(M)
     assert format_program(program) == "x1 := -x1\nx2 := -x1\nx1 := x1 + x2\n"
     assert coding.matrix == Matrix.of(RATIONAL, [[-1, 0], [-1, 0]])
-    assert coding.fixups_one_based == (2, 0)
+    assert coding.fixups == (1, None)
     assert program_symbolic(program) == M
 
 
@@ -60,7 +60,7 @@ def test_compile_identity_is_self_assignments():
         I = Matrix.identity(4, field)
         program, coding = sequentialize(I)
         assert program == seq_program(I)
-        assert coding.fixups_one_based == (0, 0, 0, 0)
+        assert coding.fixups == (None,) * 4
         assert coding.matrix == I
 
 
@@ -69,8 +69,8 @@ def test_compile_one_by_one():
         M = Matrix.of(GF7, entries)
         program, coding = sequentialize(M)
         assert len(program) == 1
-        assert program.steps[0].coeffs.entries == M.rows[0]
-        assert coding.fixups_one_based == (0,)
+        assert program.steps[0].coeffs == M.rows[0]
+        assert coding.fixups == (None,)
         assert program_symbolic(program) == M
 
 
@@ -119,7 +119,7 @@ def test_fixup_steps_add_exactly_one_partner():
                 if s.target == i
             ]
             assert len(matching) == 1
-            coeffs = matching[0].coeffs.entries
+            coeffs = matching[0].coeffs
             assert coeffs[i] == 1 and coeffs[j] == 1
             assert sum(1 for v in coeffs if v) == 2
     assert seen_fixup
@@ -129,8 +129,8 @@ def test_fixup_steps_add_exactly_one_partner():
 
 
 def test_decode_known_codings():
-    c = InSituCoding.from_one_based(
-        Matrix.of(RATIONAL, [[-1, -1, 0], [-1, 0, 1], [-3, 0, 2]]), [2, 0, 0]
+    c = InSituCoding(
+        Matrix.of(RATIONAL, [[-1, -1, 0], [-1, 0, 1], [-3, 0, 2]]), (1, None, None)
     )
     assert format_program(decode_coding(c)) == (
         "x1 := -x1 - x2\n"
@@ -138,9 +138,9 @@ def test_decode_known_codings():
         "x3 := -3*x1 + 2*x3\n"
         "x1 := x1 + x2\n"
     )
-    c2 = InSituCoding.from_one_based(Matrix.identity(3, GF2), [0, 0, 0])
+    c2 = InSituCoding(Matrix.identity(3, GF2), (None, None, None))
     assert decode_coding(c2) == seq_program(Matrix.identity(3, GF2))
-    c3 = InSituCoding.from_one_based(Matrix.of(RATIONAL, [[-1, 0], [-1, 0]]), [2, 0])
+    c3 = InSituCoding(Matrix.of(RATIONAL, [[-1, 0], [-1, 0]]), (1, None))
     assert len(decode_coding(c3)) == 3
 
 
@@ -392,7 +392,7 @@ def test_perm_identity_input():
     I = Matrix.identity(3, RATIONAL)
     program, coding = sequentialize_perm(I)
     assert program == seq_program(I)
-    assert coding.perm_one_based == (1, 2, 3)
+    assert coding.perm == (0, 1, 2)
 
 
 def test_perm_known_swap():

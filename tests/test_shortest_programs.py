@@ -63,7 +63,7 @@ def test_fixup_compiler_against_shortest(n, shortest, most_over):
         length = sum(
             1
             for step in program.steps
-            if any(c != (j == step.target) for j, c in enumerate(step.coeffs.entries))
+            if any(c != (j == step.target) for j, c in enumerate(step.coeffs))
         )
         key = tuple(sum(bit << j for j, bit in enumerate(row)) for row in M.rows)
         excess[length - dist[key]] += 1
