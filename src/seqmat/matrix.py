@@ -13,11 +13,18 @@ indices are 0-based in code, 1-based in all text formats.
 Row arithmetic (program_symbolic, the elimination kernel of the
 sequentialize module, and preimage_search) runs on packed rows, in the
 backend row_backend picks from the field's modulus.  A backend holds n
-rows of any width w (preimage_search packs n augmented rows of width
-2n).  Every backend reads a row back as canonical entries (read,
-matrix) and forms the canonical packed row sum_t c_t * row_t (combine).
-The GF(2) and GF(p) backends also clear column k of row i with row j,
-row_i -= (row_i[k] / row_j[k]) * row_j (clear):
+rows of any width w (preimage_search packs n augmented rows of width 2n)
+and starts with none of them packed: eliminate packs the input rows,
+preimage_search packs each row when its step reaches it, and
+program_symbolic starts on unit rows it never packs.  Every backend
+reads a row back as canonical entries (read) and forms the canonical
+row sum_t c_t * row_t, packed and as entries (combine), in which a row
+still marked in the backend's units mask is the unit row e_t and enters
+the sum as c_t itself, through one mask of the packed coefficients.  The
+substitution update of eliminate works from the stored pivot row, the
+row that eliminate emitted.  The GF(2) and GF(p) backends also clear
+column k of row i with row j, row_i -= (row_i[k] / row_j[k]) * row_j
+(clear):
 
 * GF(2): row k is one int, bit t holding entry (k, t), read back w bits
   wide.  A sum is one XOR per nonzero coefficient; a substitution update
@@ -37,14 +44,20 @@ row_i -= (row_i[k] / row_j[k]) * row_j (clear):
   int.from_bytes and reads back as one array of its slots; a k-word slot
   is reduced by Horner's rule over its words, 2**64 taken mod p.  A
   slot never carries into the next as long as its value stays below
-  n*p*p.  combine sums at most n terms of c*v <= (p-1)**2
+  n*p*p.  A coefficient (k, i) is read by masking slots 0..i and
+  shifting them down, not by shifting the whole row.  combine sums the
+  masked coefficients (below p) and at most n terms of c*v <= (p-1)**2
   over rows of reduced slots (v < p) and reduces the sum slot by slot,
-  so its rows stay reduced.  The substitution update and clear are one
-  multiply-add each and leave row i unreduced: a row holds entries below
-  p plus at most n-1 updates of at most (p-1)**2 before it is read, and
-  a slot is reduced mod p only where it is read: a row (read), a pivot,
-  a coefficient (coeff).  read stores its row back reduced.  combine and
-  row j of clear need reduced rows: rows no update has touched since
+  so its rows stay reduced.  The substitution base -row_i + e_i is one
+  subtraction from a row of slots p: slot t is p - row_i[t] and slot i
+  is p + 1 - pivot, so a base slot can reach p and one update term is at
+  most (p-1)*p.  The substitution update and clear are one multiply-add
+  each and leave row i unreduced: a row holds entries below p plus at
+  most n-1 updates of at most (p-1)*p before it is read, below n*p*p,
+  and a slot is reduced mod p only where it is read: a row (read), a
+  pivot, a coefficient (coeff).  read stores its row back reduced,
+  because the substitution base, clear's row j and combine's terms are
+  stored rows and need reduced slots: rows no update has touched since
   they were packed or read.
 * Q: row k is a list N of int numerators over one positive int
   denominator d, kept reduced (gcd(d, *N) == 1).  The reduced pair is
@@ -53,7 +66,8 @@ row_i -= (row_i[k] / row_j[k]) * row_j (clear):
   arithmetic.  A sum is kept over one running denominator and reduced
   once; a substitution update is one pass over N and one reduction,
   which keeps d at the lcm of the row's denominators instead of letting
-  it collect one factor per pivot above the row.
+  it collect one factor per pivot above the row.  The units mask has one
+  bit per row, as over GF(2).
 """
 
 from __future__ import annotations
@@ -62,6 +76,7 @@ import sys
 from array import array
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatchError, FieldMismatchError, PreconditionError
 from .fields import GF2, FieldSpec, digit_limit_error
@@ -179,16 +194,23 @@ class Assignment(Record):
 
 class StraightLineProgram(Record):
     """Ordered single-target linear assignments, executed in place on n
-    variables: each step targets one of range(n) and has n coefficients."""
+    variables: each step targets one of range(n) and has n coefficients,
+    each canonical in the field (an int in range(p) over GF(p), a
+    Fraction over Q)."""
 
     __slots__ = ("field", "n", "steps")
 
     def __init__(self, field: FieldSpec, n: int, steps: tuple[Assignment, ...]) -> None:
+        p = field.modulus
         for k, step in enumerate(steps):
+            coeffs = step.coeffs
             if not 0 <= step.target < n:
                 raise PreconditionError(f"step {k} targets {step.target}, outside range({n})")
-            if len(step.coeffs) != n:
-                raise DimensionMismatchError(f"step {k} has {len(step.coeffs)} coefficients, not {n}")
+            if len(coeffs) != n:
+                raise DimensionMismatchError(f"step {k} has {len(coeffs)} coefficients, not {n}")
+            if not ({*map(type, coeffs)} <= {Fraction} if p is None else
+                    0 <= min(coeffs) and max(coeffs) < p):
+                raise PreconditionError(f"step {k} has a coefficient not canonical in {field}")
         set_field(self, "field", field)
         set_field(self, "n", n)
         set_field(self, "steps", steps)
@@ -261,13 +283,18 @@ def program_symbolic(P: StraightLineProgram) -> Matrix:
 
     Tracks coefficients: C starts as the identity and each step
     (target t, coeffs R) replaces row C_t by the product R . C, one
-    combine of the field's packed rows.  This is the single correctness
-    oracle the compilation modules are checked against.
+    combine of the field's packed rows.  The identity is never packed:
+    the rows no step has targeted yet enter combine as its unit rows, and
+    C is built from the entries combine returns.  This is the single
+    correctness oracle the compilation modules are checked against.
     """
-    rows = row_backend(P.field, Matrix.identity(P.n, P.field).rows)
+    rows = row_backend(P.field, P.n, P.n)
+    out = list(Matrix.identity(P.n, P.field).rows)
     for step in P.steps:
-        rows.rows[step.target] = rows.combine(step.coeffs)
-    return rows.matrix()
+        t = step.target
+        rows.rows[t], out[t] = rows.combine(step.coeffs)
+        rows.units &= ~(rows.mask << rows.bits * t)
+    return Matrix(P.field, tuple(map(tuple, out)))
 
 
 def seq_matrix(M: Matrix) -> Matrix:
@@ -337,29 +364,32 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 class _PackedRows:
-    """Rows of canonical entries, packed in the form of their field.
+    """n rows of width entries of one field, packed in the form of the field.
 
-    n is the row count and width the length of a row.  rows[k] is row k
-    packed; read(i) is row i as a list of canonical entries; coeff(k, i)
-    is nonzero iff entry (k, i) is; combine(coeffs) is the packed
-    canonical row sum_t coeffs[t] * rows[t]; substitute(i, row) is the
-    elimination kernel's update of every row below row i (see
+    A backend starts with no row packed: rows[k] is 0 until the caller
+    stores row k packed, pack(entries) packing a row of canonical entries.
+    read(i) is row i as a list of canonical entries; coeff(k, i) is
+    nonzero iff entry (k, i) is; substitute(i) is the elimination
+    kernel's update of every row below row i by the stored row i (see
     sequentialize.eliminate).  Over GF(2) and GF(p), clear(i, k, j)
     clears column k of row i with row j: row_i -= (row_i[k] / row_j[k]) *
-    row_j, for nonzero entries (i, k) and (j, k).
+    row_j, for nonzero entries (i, k) and (j, k).  combine(coeffs), on a
+    square backend, is the canonical row sum_k coeffs[k] * row_k, packed
+    and as entries, where row k is the unit row e_k while slot k of units
+    is all ones and the stored row k once the caller clears that slot.
     """
 
-    def __init__(self, field: FieldSpec, rows) -> None:
-        self.field, self.n, self.width = field, len(rows), len(rows[0])
-        self.rows = [self._pack(r) for r in rows]
+    #: Bits per slot of the units mask, and a slot of ones: GF(2) and Q
+    #: take one bit per row, GF(p) a whole slot of its packed rows.
+    bits = mask = 1
 
-    def matrix(self) -> Matrix:
-        """The rows read back as a Matrix."""
-        return Matrix(self.field, tuple(tuple(self.read(k)) for k in range(self.n)))
+    def __init__(self, field: FieldSpec, n: int, width: int) -> None:
+        self.field, self.n, self.width = field, n, width
+        self.rows, self.units = [0] * n, (1 << self.bits * n) - 1
 
 
 class _GF2Rows(_PackedRows):
-    _pack = staticmethod(_bits_to_int)
+    pack = staticmethod(_bits_to_int)
 
     def read(self, i: int) -> list:
         return list(_int_to_bits(self.rows[i], self.width))
@@ -367,17 +397,17 @@ class _GF2Rows(_PackedRows):
     def coeff(self, k: int, i: int) -> int:
         return (self.rows[k] >> i) & 1
 
-    def combine(self, coeffs) -> int:
-        acc = 0
+    def combine(self, coeffs) -> tuple[int, bytes]:
+        acc = self.pack(coeffs) & self.units
         for c, r in zip(coeffs, self.rows):
-            if c:
+            if c and r:
                 acc ^= r
-        return acc
+        return acc, _int_to_bits(acc, self.width)
 
-    def substitute(self, i: int, row: list) -> None:
-        # The pivot is 1, so base = -row + e_i is row with bit i cleared.
+    def substitute(self, i: int) -> None:
+        # The pivot is 1, so base = -row_i + e_i is row_i with bit i cleared.
         bit = 1 << i
-        base = self._pack(row) & ~bit
+        base = self.rows[i] & ~bit
         rows = self.rows
         for k in range(i + 1, self.n):
             if rows[k] & bit:
@@ -388,17 +418,18 @@ class _GF2Rows(_PackedRows):
 
 
 class _GFpRows(_PackedRows):
-    def __init__(self, field: FieldSpec, rows) -> None:
+    def __init__(self, field: FieldSpec, n: int, width: int) -> None:
         p = self.p = field.modulus
-        need = -(-(len(rows) * p * p).bit_length() // 8)
+        need = -(-(n * p * p).bit_length() // 8)
         size = next((s for s in _SLOT_TYPES if s >= need), 8 * -(-need // 8))
         self.code = _SLOT_TYPES.get(size, "Q")
         self.words, self.word_mod = -(-size // 8), (1 << 64) % p
-        self.bits, self.nbytes = 8 * size, len(rows[0]) * size
+        self.bits, self.nbytes = 8 * size, width * size
         self.mask = (1 << self.bits) - 1
-        super().__init__(field, rows)
+        self.top = p * (((1 << self.bits * width) - 1) // self.mask)  # every slot p
+        super().__init__(field, n, width)
 
-    def _pack(self, entries) -> int:
+    def pack(self, entries) -> int:
         k = self.words
         if k == 1:
             items = array(self.code, entries)
@@ -425,34 +456,36 @@ class _GFpRows(_PackedRows):
         return [(v * r + w) % p for v, w in zip(slots, items[::k])]
 
     def read(self, i: int) -> list:
-        # Stored back reduced: row i can be row j of clear, or a term of combine.
+        # Stored back reduced: substitute, clear and combine use stored rows.
         row = self._reduce(self.rows[i])
-        self.rows[i] = self._pack(row)
+        self.rows[i] = self.pack(row)
         return row
 
     def coeff(self, k: int, i: int) -> int:
-        return ((self.rows[k] >> (self.bits * i)) & self.mask) % self.p
+        # Masking slots 0..i first shifts i + 1 slots, not the whole row.
+        return ((self.rows[k] & ((1 << self.bits * (i + 1)) - 1)) >> self.bits * i) % self.p
 
-    def combine(self, coeffs) -> int:
-        # The rows must be reduced (see the module docstring).
-        acc = 0
+    def combine(self, coeffs) -> tuple[int, list]:
+        # The unit rows' terms are the masked coefficients, below p, and
+        # the stored rows are reduced (see the module docstring).
+        acc = self.pack(coeffs) & self.units
         for c, r in zip(coeffs, self.rows):
-            if c:
+            if c and r:
                 acc += c * r
-        return self._pack(self._reduce(acc))
+        entries = self._reduce(acc)
+        return self.pack(entries), entries
 
-    def substitute(self, i: int, row: list) -> None:
-        p = self.p
-        pivot = row[i]
-        pivot_inv = pow(pivot, -1, p)
-        base = [-v % p for v in row]
-        base[i] = (1 - pivot) % p
-        packed = self._pack(base)
-        shift, mask, rows = self.bits * i, self.mask, self.rows
+    def substitute(self, i: int) -> None:
+        # Row i is stored reduced, so base slot t is p - row_i[t] and slot i
+        # p + 1 - pivot: -row_i + e_i with every slot in 1..p.
+        p, shift, rows = self.p, self.bits * i, self.rows
+        pivot_inv = pow(self.coeff(i, i), -1, p)
+        base = self.top + (1 << shift) - rows[i]
+        low = (1 << shift + self.bits) - 1
         for k in range(i + 1, self.n):
-            c = ((rows[k] >> shift) & mask) % p
+            c = ((rows[k] & low) >> shift) % p
             if c:
-                rows[k] += c * pivot_inv % p * packed
+                rows[k] += c * pivot_inv % p * base
 
     def clear(self, i: int, k: int, j: int) -> None:
         # Row j must be reduced (see the module docstring).
@@ -462,7 +495,7 @@ class _GFpRows(_PackedRows):
 
 class _RationalRows(_PackedRows):
     @staticmethod
-    def _pack(entries) -> tuple[list[int], int]:
+    def pack(entries) -> tuple[list[int], int]:
         """Fractions as a reduced (N, d): d is the lcm of their denominators.
 
         The pair is already reduced: for each prime q dividing d, some entry's
@@ -488,27 +521,31 @@ class _RationalRows(_PackedRows):
         # A numerator is zero exactly when its entry is.
         return self.rows[k][0][i]
 
-    def combine(self, coeffs) -> tuple[list[int], int]:
-        # The sum is kept over one running denominator D: a term c*N_t/d_t
-        # has denominator q = den(c)*d_t, so D grows to lcm(D, q) and the
-        # sum so far is multiplied by lcm(D, q)/D.  The sum is reduced
-        # once, after the last term.
-        acc, D = [0] * self.width, 1
-        for c, (N, d) in zip(coeffs, self.rows):
-            if c:
+    def combine(self, coeffs) -> tuple[tuple[list[int], int], list]:
+        # The sum starts from the unit rows' terms, the masked coefficients
+        # over their lcm D, and is kept over one running denominator: a
+        # term c*N_k/d_k has denominator q = den(c)*d_k, so D grows to
+        # lcm(D, q) and the sum so far is multiplied by lcm(D, q)/D.  The
+        # sum is reduced once, after the last term.
+        acc, D = self.pack(coeffs)
+        acc = list(map(mul, acc, _int_to_bits(self.units, self.width)))
+        for c, r in zip(coeffs, self.rows):
+            if c and r:
+                N, d = r
                 q = c.denominator * d
                 g = gcd(D, q)
                 scale, m = q // g, c.numerator * (D // g)
                 acc = [scale * x + m * y for x, y in zip(acc, N)]
                 D *= scale
-        return self._reduce(acc, D)
+        N, d = self._reduce(acc, D)
+        return (N, d), [Fraction(v, d) for v in N]
 
-    def substitute(self, i: int, row: list) -> None:
-        # With row = Nr/dr, pivot a/dr (a = Nr[i]) and row_k = N/d, the
-        # update row_k += (N[i]/d) * (dr/a) * (e_i - row) is
+    def substitute(self, i: int) -> None:
+        # With row i = Nr/dr, pivot a/dr (a = Nr[i]) and row_k = N/d, the
+        # update row_k += (N[i]/d) * (dr/a) * (e_i - row_i) is
         # (a*N + N[i]*B) / (a*d) for B = dr*e_i - Nr; multiplying through
         # by sign(a) keeps the denominator positive.
-        Nr, dr = self._pack(row)
+        Nr, dr = self.rows[i]
         a = Nr[i]
         sign = 1 if a > 0 else -1
         base = [-sign * v for v in Nr]
@@ -521,10 +558,10 @@ class _RationalRows(_PackedRows):
                 rows[k] = self._reduce([scale * x + c * b for x, b in zip(N, base)], scale * d)
 
 
-def row_backend(field: FieldSpec, rows) -> _PackedRows:
-    """rows, of canonical entries of field, packed in its backend (see the
+def row_backend(field: FieldSpec, n: int, width: int) -> _PackedRows:
+    """An empty backend for n rows of width entries of field (see the
     module docstring)."""
     p = field.modulus
     if p == 2:
-        return _GF2Rows(field, rows)
-    return _RationalRows(field, rows) if p is None else _GFpRows(field, rows)
+        return _GF2Rows(field, n, width)
+    return _RationalRows(field, n, width) if p is None else _GFpRows(field, n, width)

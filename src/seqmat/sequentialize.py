@@ -98,29 +98,38 @@ def eliminate(M: Matrix, policy: str, units: tuple = ()) -> tuple[tuple[tuple, .
     * "units": set the pivot of every row i to units[i] (never zero);
       moves is all None.
 
+    The rows stay packed in the field's backend, and the stored row i is
+    the emitted row when the update runs: read stores a GF(p) row back
+    reduced, and a row the policy changed is stored with one pack.  So
+    the update, rows.substitute(i), takes its pivot row from the backend
+    and never repacks the emitted entries.
+
     Returns the emitted rows and moves.
     """
     field = M.field
     n = M.n
-    rows = row_backend(field, M.rows)
+    rows = row_backend(field, n, n)
+    rows.rows = [rows.pack(r) for r in M.rows]
     moves = list(range(n)) if policy == "perm" else [None] * n
     out = []
     for i in range(n):
         row = rows.read(i)
-        if policy == "units":
+        if policy == "units" and row[i] != units[i]:
             row[i] = units[i]
+            rows.rows[i] = rows.pack(row)
         elif not row[i]:
             j = next((k for k in range(i + 1, n) if rows.coeff(k, i)), None)
             if j is not None and policy == "fixup":
                 moves[i] = j
                 row = [field.sub(a, b) for a, b in zip(row, rows.read(j))]
+                rows.rows[i] = rows.pack(row)
             elif j is not None:
                 rows.rows[i], rows.rows[j] = rows.rows[j], rows.rows[i]
                 moves[i], moves[j] = moves[j], moves[i]
                 row = rows.read(i)
         out.append(tuple(row))
         if row[i]:
-            rows.substitute(i, row)
+            rows.substitute(i)
         # else: nothing below reads column i, no updates are needed.
     return tuple(out), tuple(moves)
 
@@ -142,7 +151,9 @@ def decode_coding(coding: InSituCoding) -> StraightLineProgram:
     M = coding.matrix
     field = M.field
     n = M.n
-    steps = list(seq_program(M).steps)
+    # seq_program's steps, built here so that only the full program below
+    # checks them.
+    steps = [Assignment(i, row) for i, row in enumerate(M.rows)]
     one, zero = field.one, field.zero
     for i in range(n - 2, -1, -1):
         j = coding.fixups[i]
@@ -187,13 +198,14 @@ def preimage_search(M: Matrix):
     * pivots: in column order, the row that cleared column c; its
       w * M part is 0 on the columns below c and nonzero at c.
 
-    Row i starts as [e_i | M[i]] and is cleared by pivots in column
-    order, which leaves M[i, :i] - y * M[:i, :i] = 0 exactly when a
-    solution exists, then by live in ascending lead order, which zeroes
-    y at every lead.  Then it is read and joins live, and column i
-    leaves: among the live rows reading it, the one with the largest
-    lead clears it from the others (their leads stay put) and moves to
-    pivots.  Every row is read after its last clear, so each row that
+    Row i starts as [e_i | M[i]], packed only when the pass reaches it
+    (an input refused at row i packs i + 1 rows), and is cleared by
+    pivots in column order, which leaves M[i, :i] - y * M[:i, :i] = 0
+    exactly when a solution exists, then by live in ascending lead
+    order, which zeroes y at every lead.  Then it is read and joins
+    live, and column i leaves: among the live rows reading it, the one
+    with the largest lead clears it from the others (their leads stay
+    put) and moves to pivots.  Every row is read after its last clear, so each row that
     clears another is reduced (see the matrix module).  O(n^3) entry
     operations, no guard.
     """
@@ -202,9 +214,10 @@ def preimage_search(M: Matrix):
     if p is None:
         raise PreconditionError("preimage search needs a finite field")
     n = M.n
-    rows = row_backend(field, [e + row for e, row in zip(Matrix.identity(n, field).rows, M.rows)])
+    rows = row_backend(field, n, 2 * n)
     pivots, live, found = [], {}, []
-    for i in range(n):
+    for i, e in enumerate(Matrix.identity(n, field).rows):
+        rows.rows[i] = rows.pack(e + M.rows[i])
         for k, j in pivots + sorted(live.items()):
             if rows.coeff(i, k):
                 rows.clear(i, k, j)

@@ -329,7 +329,10 @@ def test_gfp_slot_edges_match_entrywise_references(bits):
     # not stored back reduced on read, it fails at every edge but 8 bits,
     # where the products of unreduced rows still fit their 2-byte slots.
     # Only little-endian machines have run it; the big-endian byte swaps
-    # in the GF(p) backend are unverified.
+    # in the GF(p) backend are unverified.  The unit rows over a last row
+    # of p - 1 make every slot of each substitution base p (pivot 1, zero
+    # entries) and every multiplier p - 1, so the last row grows by
+    # (p - 1) * p per slot and update, the largest update term.
     p, fit = SLOT_EDGES[bits]
     field = gfp(p)
     rng = random.Random(bits)
@@ -338,6 +341,7 @@ def test_gfp_slot_edges_match_entrywise_references(bits):
         assert (n * (p - 1) ** 2).bit_length() > bits or n == fit
         units = tuple(_random_gfp_row(rng, p, n, 1.0))
         for M in (Matrix.of(field, [[p - 1] * n] * n),
+                  Matrix.of(field, Matrix.identity(n, field).rows[:-1] + ((p - 1,) * n,)),
                   Matrix.of(field, [_random_gfp_row(rng, p, n, 1.0) for _ in range(n)]),
                   Matrix.of(field, [_random_gfp_row(rng, p, n, 0.5) for _ in range(n)])):
             _check_all_policies(M, units)

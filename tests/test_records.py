@@ -161,6 +161,18 @@ def test_field_spec_default_modulus():
      "step 1 targets -1, outside range(3)"),
     (lambda: StraightLineProgram(GF7, 3, (Assignment(0, (1, 0, 0)), Assignment(0, (1, 1)))),
      "step 1 has 2 coefficients, not 3"),
+    # program_symbolic mapped (1, 1) to (5, 1) with the coefficient 1000,
+    # and -1 raised a bare OverflowError from the packed rows.
+    (lambda: StraightLineProgram(GF7, 2, (Assignment(0, (1000, 1)),)),
+     "step 0 has a coefficient not canonical in gfp 7"),
+    (lambda: StraightLineProgram(GF7, 2, (Assignment(1, (0, 1)), Assignment(0, (-1, 1)))),
+     "step 1 has a coefficient not canonical in gfp 7"),
+    (lambda: StraightLineProgram(GF2, 2, (Assignment(0, (2, 1)),)),
+     "step 0 has a coefficient not canonical in gf2"),
+    (lambda: StraightLineProgram(RATIONAL, 2, (Assignment(0, (Fraction(1, 2), 1)),)),
+     "step 0 has a coefficient not canonical in rational"),
+    (lambda: StraightLineProgram(RATIONAL, 1, (Assignment(0, (0.5,)),)),
+     "step 0 has a coefficient not canonical in rational"),
 ])
 def test_validation_errors(build, message):
     error = DimensionMismatchError if "coefficients, not" in message else PreconditionError

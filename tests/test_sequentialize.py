@@ -1,6 +1,7 @@
 """The in-place compilers and the preimage solve: exact runs, contracts, and
 exhaustive checks against full enumeration."""
 
+import importlib
 import itertools
 import random
 
@@ -25,6 +26,7 @@ from seqmat import (
     sequentialize_perm,
 )
 from seqmat.errors import PreconditionError
+from seqmat.matrix import row_backend
 
 GF3 = gfp(3)
 
@@ -150,6 +152,30 @@ def test_decode_known_codings():
 def test_preimage_minimal_impossible_case():
     M = Matrix.of(GF2, [[0, 0], [1, 0]])
     assert preimage_search(M) is None
+
+
+@pytest.mark.parametrize("field", [GF2, GF7, gfp(2**31 - 1)])
+def test_preimage_packs_only_the_rows_it_reaches(field, monkeypatch):
+    # M[0, 0] = 0 and M[1, 0] = 1 refuse M at its second row, so the pass
+    # packs rows 0 and 1 whatever n is; over GF(p) each of their reads
+    # stores the row back with one more pack.
+    packs = []
+
+    def counting_backend(*args):
+        rows = row_backend(*args)
+        pack = rows.pack
+        rows.pack = lambda entries: packs.append(entries) or pack(entries)
+        return rows
+
+    module = importlib.import_module("seqmat.sequentialize")
+    monkeypatch.setattr(module, "row_backend", counting_backend)
+    rng = random.Random(128)
+    for n in (4, 128):
+        rows = [[rng.randrange(field.modulus) for _ in range(n)] for _ in range(n)]
+        rows[0][0], rows[1][0] = 0, 1
+        packs.clear()
+        assert preimage_search(Matrix.of(field, rows)) is None
+        assert len(packs) == (2 if field == GF2 else 4)
 
 
 def test_preimage_identity_and_known_hit():
