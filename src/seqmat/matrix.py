@@ -18,13 +18,15 @@ and starts with none of them packed: eliminate packs the input rows,
 preimage_search packs each row when its step reaches it, and
 program_symbolic starts on unit rows it never packs.  Every backend
 reads a row back as canonical entries (read) and forms the canonical
-row sum_t c_t * row_t, packed and as entries (combine), in which a row
-still marked in the backend's units mask is the unit row e_t and enters
-the sum as c_t itself, through one mask of the packed coefficients.  The
-substitution update of eliminate works from the stored pivot row, the
-row that eliminate emitted.  The GF(2) and GF(p) backends also clear
-column k of row i with row j, row_i -= (row_i[k] / row_j[k]) * row_j
-(clear):
+row sum_t c_t * row_t, packed and as entries (combine): a step of
+program_symbolic, and the fix-up row_i - row_j of eliminate.  A backend
+starts with an empty units mask, and only program_symbolic marks its
+rows in it: a row still marked is the unit row e_t and enters the sum
+as c_t itself, through one mask of the packed coefficients, so over the
+other callers' rows combine is a plain row sum.  The substitution update
+of eliminate works from the stored pivot row, the row that eliminate
+emitted.  The GF(2) and GF(p) backends also clear column k of row i
+with row j, row_i -= (row_i[k] / row_j[k]) * row_j (clear):
 
 * GF(2): row k is one int, bit t holding entry (k, t), read back w bits
   wide.  A sum is one XOR per nonzero coefficient; a substitution update
@@ -201,6 +203,8 @@ class StraightLineProgram(Record):
     __slots__ = ("field", "n", "steps")
 
     def __init__(self, field: FieldSpec, n: int, steps: tuple[Assignment, ...]) -> None:
+        if n < 1:
+            raise DimensionMismatchError("program must have at least one variable")
         p = field.modulus
         for k, step in enumerate(steps):
             coeffs = step.coeffs
@@ -289,6 +293,7 @@ def program_symbolic(P: StraightLineProgram) -> Matrix:
     correctness oracle the compilation modules are checked against.
     """
     rows = row_backend(P.field, P.n, P.n)
+    rows.units = (1 << rows.bits * P.n) - 1
     out = list(Matrix.identity(P.n, P.field).rows)
     for step in P.steps:
         t = step.target
@@ -314,11 +319,7 @@ def is_regular(M: Matrix) -> bool:
 def is_similar(M: Matrix, W: Matrix) -> bool:
     """True iff M and W agree everywhere except possibly on the diagonal."""
     _check_pair(M.field, W.field, M.n, W.n)
-    for i, (ra, rb) in enumerate(zip(M.rows, W.rows)):
-        for j, (a, b) in enumerate(zip(ra, rb)):
-            if i != j and a != b:
-                return False
-    return True
+    return set_diag_ones(M) == set_diag_ones(W)
 
 
 def set_diag_ones(M: Matrix) -> Matrix:
@@ -376,7 +377,10 @@ class _PackedRows:
     row_j, for nonzero entries (i, k) and (j, k).  combine(coeffs), on a
     square backend, is the canonical row sum_k coeffs[k] * row_k, packed
     and as entries, where row k is the unit row e_k while slot k of units
-    is all ones and the stored row k once the caller clears that slot.
+    is all ones and the stored row k otherwise.  units starts at 0, every
+    row stored; program_symbolic sets all its slots and clears slot t
+    when a step targets row t, while eliminate's fix-up combines stored
+    rows only.
     """
 
     #: Bits per slot of the units mask, and a slot of ones: GF(2) and Q
@@ -385,7 +389,7 @@ class _PackedRows:
 
     def __init__(self, field: FieldSpec, n: int, width: int) -> None:
         self.field, self.n, self.width = field, n, width
-        self.rows, self.units = [0] * n, (1 << self.bits * n) - 1
+        self.rows, self.units = [0] * n, 0
 
 
 class _GF2Rows(_PackedRows):

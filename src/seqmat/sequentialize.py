@@ -21,9 +21,10 @@ Three routes:
 Both compilers, and regularize_general in the regularize module, are one
 elimination kernel, eliminate, with different pivot policies.  It keeps
 the working rows in the packed backend of their field (see the matrix
-module), and so does preimage_search.  Its output is bit-identical to the entrywise field-method
-elimination, which the tests keep as its reference.  Everything is
-checked against the program_symbolic oracle in the tests.
+module), and so does preimage_search.  Its output is bit-identical to
+the entrywise field-method elimination, which the tests keep as its
+reference.  Everything is checked against the program_symbolic oracle
+in the tests.
 """
 
 from __future__ import annotations
@@ -100,9 +101,12 @@ def eliminate(M: Matrix, policy: str, units: tuple = ()) -> tuple[tuple[tuple, .
 
     The rows stay packed in the field's backend, and the stored row i is
     the emitted row when the update runs: read stores a GF(p) row back
-    reduced, and a row the policy changed is stored with one pack.  So
-    the update, rows.substitute(i), takes its pivot row from the backend
-    and never repacks the emitted entries.
+    reduced, a forced unit pivot is stored with one pack, and the fix-up
+    row is one combine of the stored rows i and j with coefficients 1
+    and -1, row j read first so that both terms are reduced.  The
+    backend holds no unit rows, so that combine is a plain row sum and
+    stores its result reduced.  So the update, rows.substitute(i), takes
+    its pivot row from the backend and never repacks the emitted entries.
 
     Returns the emitted rows and moves.
     """
@@ -120,9 +124,10 @@ def eliminate(M: Matrix, policy: str, units: tuple = ()) -> tuple[tuple[tuple, .
         elif not row[i]:
             j = next((k for k in range(i + 1, n) if rows.coeff(k, i)), None)
             if j is not None and policy == "fixup":
-                moves[i] = j
-                row = [field.sub(a, b) for a, b in zip(row, rows.read(j))]
-                rows.rows[i] = rows.pack(row)
+                moves[i], coeffs = j, [field.zero] * n
+                coeffs[i], coeffs[j] = field.one, field.coerce(-1)
+                rows.read(j)  # combine's terms are stored reduced
+                rows.rows[i], row = rows.combine(coeffs)
             elif j is not None:
                 rows.rows[i], rows.rows[j] = rows.rows[j], rows.rows[i]
                 moves[i], moves[j] = moves[j], moves[i]
@@ -205,9 +210,9 @@ def preimage_search(M: Matrix):
     order, which zeroes y at every lead.  Then it is read and joins
     live, and column i leaves: among the live rows reading it, the one
     with the largest lead clears it from the others (their leads stay
-    put) and moves to pivots.  Every row is read after its last clear, so each row that
-    clears another is reduced (see the matrix module).  O(n^3) entry
-    operations, no guard.
+    put) and moves to pivots.  Every row is read after its last clear,
+    so each row that clears another is reduced (see the matrix module).
+    O(n^3) entry operations, no guard.
     """
     field = M.field
     p = field.modulus

@@ -29,7 +29,7 @@ from seqmat import (
 )
 from seqmat.dynamics import _apply, _fiber_cycles, _require_invertible, _Tower
 from seqmat.errors import GuardError, InvariantViolation, PreconditionError
-from seqmat.regularize import regularize_packed
+from seqmat.regularize import regularize_packed, regularize_plan
 from test_regularize import _reference_packed
 
 CENSUS_6 = Path(__file__).parent / "data" / "census_6.json"
@@ -472,6 +472,61 @@ def test_census_walks_each_distinct_fiber_map_once(monkeypatch):
     assert len(seen) == len(set(seen))
     assert {k for k, _ in seen} == set(range(5))
     assert report.histogram == CENSUS_5_HISTOGRAM
+
+
+def _level_max_walk(n, k):
+    """Largest cycle of level k, the map on rows 0..k of regular n x n
+    matrices, by a plain walk of regularize_packed on every (k+1)-row
+    word, asserting that no state but a walk's start repeats."""
+    plan = regularize_plan(n, k + 1, k + 1)
+    diag = plan[1]
+    free = ((1 << (k + 1) * n) - 1) ^ diag  # the off-diagonal bits
+    seen, best, bits = set(), 0, 0
+    while True:
+        start = bits | diag
+        if start not in seen:
+            word, length = start, 0
+            while True:
+                seen.add(word)
+                word, length = regularize_packed(word, plan), length + 1
+                if word == start:
+                    break
+                assert word not in seen
+            best = max(best, length)
+        bits = (bits - free) & free  # the next subset of free
+        if not bits:
+            return best
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tower_level_maxima(n):
+    # The largest level-k cycle is 1 at k = 0 and 2 * 3**(k-1) above,
+    # except at n = 2, where every state is fixed.
+    expected = [1] + [1 if n == 2 else 2 * 3 ** (k - 1) for k in range(1, n)]
+    maxima = [_level_max_walk(n, k) for k in range(n - 1)]
+    assert maxima + [census(n).max_cycle_length] == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_census_fiber_maps_have_order_dividing_3_times_power_of_2(n, monkeypatch):
+    # Every composed fiber map F that census walks, at any level,
+    # satisfies F**(3 * 2**e) = I for the least e with 2**e >= n - 1.
+    walked = []
+
+    def recorded(cols):
+        walked.append(list(cols))
+        return _fiber_cycles(cols)
+
+    monkeypatch.setattr("seqmat.dynamics._fiber_cycles", recorded)
+    census(n)
+    order = 3 * 2 ** (n - 2).bit_length()
+    units = [1 << j for j in range(n - 1)]
+    assert walked
+    for cols in walked:
+        power = units
+        for _ in range(order):
+            power = [_apply(cols, col) for col in power]
+        assert power == units
 
 
 def test_census_n5_guard_boundary():

@@ -173,9 +173,14 @@ def test_field_spec_default_modulus():
      "step 0 has a coefficient not canonical in rational"),
     (lambda: StraightLineProgram(RATIONAL, 1, (Assignment(0, (0.5,)),)),
      "step 0 has a coefficient not canonical in rational"),
+    # program_symbolic returned a matrix with no rows at n = 0, and a bare
+    # ValueError from the packed rows at n = -2.
+    (lambda: StraightLineProgram(GF2, 0, ()), "program must have at least one variable"),
+    (lambda: StraightLineProgram(GF7, -2, ()), "program must have at least one variable"),
 ])
 def test_validation_errors(build, message):
-    error = DimensionMismatchError if "coefficients, not" in message else PreconditionError
+    dimension = "coefficients, not" in message or "one variable" in message
+    error = DimensionMismatchError if dimension else PreconditionError
     with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
